@@ -3,25 +3,24 @@
 //! worker caps, the streaming covariance estimator, and parallel Doppler
 //! blocks, on the registered `scaling-exp-rho07` scenario (N = 16).
 //!
-//! The `parallel/pool_vs_spawn_small` group is the pool-reuse gate: on a
-//! workload small enough that orchestration dominates, the persistent
-//! [`corrfade_parallel::Runtime`] pool (condvar wake per call) is measured
-//! against the historical spawn-a-scope-per-call execution
-//! ([`corrfade_parallel::spawn`], bit-identical results). Pool reuse is
-//! expected to win by ≥ 1.3× there; the committed baseline and the CI
-//! regression gate keep it that way.
+//! The `parallel/pool_vs_spawn_small` group is the small-call latency
+//! gate: on a workload small enough that orchestration dominates, it times
+//! one call on the persistent [`corrfade_parallel::Runtime`] pool
+//! (condvar wake per call). The group keeps its historical name, from when
+//! it also timed a spawn-a-scope-per-call path (since retired), so the
+//! committed baseline ids and the CI regression gate stay stable.
 
 use corrfade_parallel::{
-    generate_realtime_paths, generate_snapshots, monte_carlo_covariance, spawn, ParallelConfig,
+    generate_realtime_paths, generate_snapshots, monte_carlo_covariance, ParallelConfig,
 };
 use corrfade_scenarios::lookup;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 const TOTAL: usize = 100_000;
 
-/// The small-block configuration of the pool-vs-spawn comparison: little
-/// enough generation work (one minimum-size chunk) that per-call
-/// thread spawn/join overhead dominates the call.
+/// The small-block configuration of the small-call gate: little enough
+/// generation work (one minimum-size chunk) that orchestration overhead
+/// dominates the call.
 const SMALL_TOTAL: usize = 64;
 
 fn bench_snapshot_generation(c: &mut Criterion) {
@@ -108,10 +107,7 @@ fn bench_realtime_blocks(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pool_vs_spawn(c: &mut Criterion) {
-    // Identical jobs, identical results — only the execution strategy
-    // differs: wake the persistent pool vs spawn-and-join a fresh
-    // `std::thread::scope` per call.
+fn bench_small_calls(c: &mut Criterion) {
     let k = lookup("fig4b-spatial")
         .unwrap()
         .covariance_matrix()
@@ -128,15 +124,9 @@ fn bench_pool_vs_spawn(c: &mut Criterion) {
     group.bench_function("snapshots/pool", |b| {
         b.iter(|| generate_snapshots(&k, SMALL_TOTAL, &cfg).unwrap())
     });
-    group.bench_function("snapshots/spawn", |b| {
-        b.iter(|| spawn::generate_snapshots(&k, SMALL_TOTAL, &cfg).unwrap())
-    });
 
     group.bench_function("covariance/pool", |b| {
         b.iter(|| monte_carlo_covariance(&k, SMALL_TOTAL, &cfg).unwrap())
-    });
-    group.bench_function("covariance/spawn", |b| {
-        b.iter(|| spawn::monte_carlo_covariance(&k, SMALL_TOTAL, &cfg).unwrap())
     });
 
     let mut small_rt = lookup("fig4b-spatial").unwrap().realtime_config(1).unwrap();
@@ -144,9 +134,6 @@ fn bench_pool_vs_spawn(c: &mut Criterion) {
     let blocks = 2usize;
     group.bench_function("realtime/pool", |b| {
         b.iter(|| generate_realtime_paths(&small_rt, blocks, &cfg).unwrap())
-    });
-    group.bench_function("realtime/spawn", |b| {
-        b.iter(|| spawn::generate_realtime_paths(&small_rt, blocks, &cfg).unwrap())
     });
     group.finish();
 }
@@ -156,6 +143,6 @@ criterion_group!(
     bench_snapshot_generation,
     bench_streaming_covariance,
     bench_realtime_blocks,
-    bench_pool_vs_spawn
+    bench_small_calls
 );
 criterion_main!(benches);

@@ -25,18 +25,13 @@
 //! is identical for any thread count.
 //!
 //! The free functions run on [`Runtime::global()`]; the `*_on` variants take
-//! an explicit pool. The [`spawn`] module keeps the historical
-//! spawn-a-scope-per-call execution under the same signatures — it produces
-//! bit-identical results and exists so the `parallel_throughput` bench (and
-//! any caller that wants strict per-call thread isolation) can measure pool
-//! reuse against per-call spawning.
+//! an explicit pool.
 //!
 //! All per-sample work inside the workers (the coloring matvec, the
 //! covariance fold, the Doppler IDFT) runs on the
 //! [`corrfade_linalg::kernel`] dispatch layer; pool workers latch the
-//! backend at spawn and the spawn path latches it on the calling thread
-//! before any worker starts, so `CORRFADE_KERNEL` is honoured
-//! deterministically across the pool.
+//! backend at spawn, so `CORRFADE_KERNEL` is honoured deterministically
+//! across the pool.
 
 use std::sync::Mutex;
 
@@ -48,15 +43,15 @@ use corrfade_linalg::{CMatrix, Complex64};
 
 use crate::error::ParallelError;
 use crate::partition::{balanced_chunk_size, chunk_seed, partition, Chunk};
-use crate::runtime::{Runtime, WorkerScratch};
+use crate::runtime::Runtime;
 use crate::stealing::StealQueues;
 
 /// Configuration of the parallel engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Maximum number of workers participating in a call (0 means "number
-    /// of available cores"). On the pooled path this caps how many pool
-    /// workers pick up chunks; it never affects the produced values.
+    /// of available cores"). This caps how many pool workers pick up
+    /// chunks; it never affects the produced values.
     pub threads: usize,
     /// Upper bound on the snapshots generated per chunk (the unit of work
     /// stealing). Large workloads are subdivided further for load balance —
@@ -124,32 +119,6 @@ impl ParallelConfig {
     }
 }
 
-/// How a call executes its workers: on a persistent pool or on freshly
-/// spawned scoped threads (the historical behaviour, kept for comparison).
-/// Both run the identical job closures, so the produced values cannot
-/// differ.
-enum Executor<'rt> {
-    Pool(&'rt Runtime),
-    Spawn,
-}
-
-impl Executor<'_> {
-    /// Runs `job` with worker ids `0..participants` available; the job
-    /// distributes its work via per-executor work-stealing lanes
-    /// ([`StealQueues`]), ids beyond `participants` return immediately.
-    fn run(&self, participants: usize, job: &(dyn Fn(usize, &mut WorkerScratch) + Sync)) {
-        match self {
-            Executor::Pool(runtime) => runtime.run(job),
-            Executor::Spawn => std::thread::scope(|scope| {
-                for id in 0..participants {
-                    let mut scratch = WorkerScratch::default();
-                    scope.spawn(move || job(id, &mut scratch));
-                }
-            }),
-        }
-    }
-}
-
 /// Generates `total` independent snapshots of the correlated complex
 /// Gaussian vector on the global worker pool. The result is ordered and
 /// identical for any thread count.
@@ -175,15 +144,6 @@ pub fn generate_snapshots_on(
     total: usize,
     config: &ParallelConfig,
 ) -> Result<Vec<Vec<Complex64>>, ParallelError> {
-    generate_snapshots_with(&Executor::Pool(runtime), covariance, total, config)
-}
-
-fn generate_snapshots_with(
-    executor: &Executor<'_>,
-    covariance: &CMatrix,
-    total: usize,
-    config: &ParallelConfig,
-) -> Result<Vec<Vec<Complex64>>, ParallelError> {
     config.validate()?;
     let coloring = corrfade::cached_eigen_coloring(covariance)?;
     let chunks = partition(total, config.effective_chunk_size(total));
@@ -192,7 +152,7 @@ fn generate_snapshots_with(
     let participants = config.effective_threads().min(chunks.len()).max(1);
     let queues = StealQueues::new(chunks.len(), participants);
 
-    executor.run(participants, &|id, scratch| {
+    runtime.run(&|id, scratch| {
         if id >= participants {
             return;
         }
@@ -271,15 +231,6 @@ pub fn monte_carlo_covariance_on(
     total: usize,
     config: &ParallelConfig,
 ) -> Result<CMatrix, ParallelError> {
-    monte_carlo_covariance_with(&Executor::Pool(runtime), covariance, total, config)
-}
-
-fn monte_carlo_covariance_with(
-    executor: &Executor<'_>,
-    covariance: &CMatrix,
-    total: usize,
-    config: &ParallelConfig,
-) -> Result<CMatrix, ParallelError> {
     assert!(
         total > 0,
         "monte_carlo_covariance: need at least one snapshot"
@@ -297,7 +248,7 @@ fn monte_carlo_covariance_with(
         .map(|_| Mutex::new(CMatrix::zeros(n, n)))
         .collect();
 
-    executor.run(participants, &|id, scratch| {
+    runtime.run(&|id, scratch| {
         if id >= participants {
             return;
         }
@@ -356,15 +307,6 @@ pub fn generate_realtime_paths_on(
     blocks: usize,
     config: &ParallelConfig,
 ) -> Result<Vec<Vec<Complex64>>, ParallelError> {
-    generate_realtime_paths_with(&Executor::Pool(runtime), base, blocks, config)
-}
-
-fn generate_realtime_paths_with(
-    executor: &Executor<'_>,
-    base: &RealtimeConfig,
-    blocks: usize,
-    config: &ParallelConfig,
-) -> Result<Vec<Vec<Complex64>>, ParallelError> {
     // Validate the configuration (and pay for the filter design) once up
     // front so workers cannot fail; the decomposition comes from the
     // process-wide cache. Latch the kernel backend before any worker runs.
@@ -384,7 +326,7 @@ fn generate_realtime_paths_with(
     let participants = config.effective_threads().min(blocks.max(1));
     let queues = StealQueues::new(blocks, participants);
 
-    executor.run(participants, &|id, scratch| {
+    runtime.run(&|id, scratch| {
         if id >= participants {
             return;
         }
@@ -404,58 +346,6 @@ fn generate_realtime_paths_with(
         }
     }
     Ok(paths)
-}
-
-/// The historical per-call execution mode: spawn a `std::thread::scope`
-/// pool, run the identical chunk jobs, join, tear down.
-///
-/// Results are **bit-identical** to the pooled entry points — only the
-/// execution strategy differs. This module exists for two callers: the
-/// `parallel_throughput` bench, which measures how much the persistent pool
-/// saves over per-call spawning, and code that wants strict thread
-/// isolation per call (no long-lived pool threads).
-pub mod spawn {
-    use super::*;
-
-    /// [`super::generate_snapshots`] on freshly spawned scoped threads.
-    ///
-    /// # Errors
-    /// See [`super::generate_snapshots`].
-    pub fn generate_snapshots(
-        covariance: &CMatrix,
-        total: usize,
-        config: &ParallelConfig,
-    ) -> Result<Vec<Vec<Complex64>>, ParallelError> {
-        generate_snapshots_with(&Executor::Spawn, covariance, total, config)
-    }
-
-    /// [`super::monte_carlo_covariance`] on freshly spawned scoped threads.
-    ///
-    /// # Errors
-    /// See [`super::monte_carlo_covariance`].
-    ///
-    /// # Panics
-    /// Panics when `total` is zero.
-    pub fn monte_carlo_covariance(
-        covariance: &CMatrix,
-        total: usize,
-        config: &ParallelConfig,
-    ) -> Result<CMatrix, ParallelError> {
-        monte_carlo_covariance_with(&Executor::Spawn, covariance, total, config)
-    }
-
-    /// [`super::generate_realtime_paths`] on freshly spawned scoped
-    /// threads.
-    ///
-    /// # Errors
-    /// See [`super::generate_realtime_paths`].
-    pub fn generate_realtime_paths(
-        base: &RealtimeConfig,
-        blocks: usize,
-        config: &ParallelConfig,
-    ) -> Result<Vec<Vec<Complex64>>, ParallelError> {
-        generate_realtime_paths_with(&Executor::Spawn, base, blocks, config)
-    }
 }
 
 #[cfg(test)]
@@ -536,35 +426,6 @@ mod tests {
         assert_eq!(a, b, "ensemble must not depend on the worker count");
         let c = generate_snapshots(&k, 2000, &config(4, 8)).unwrap();
         assert_ne!(a, c, "different seeds must give different ensembles");
-    }
-
-    #[test]
-    fn pooled_and_spawned_execution_agree_bit_for_bit() {
-        let k = paper_covariance_matrix_23();
-        let cfg = config(3, 21);
-        assert_eq!(
-            generate_snapshots(&k, 1500, &cfg).unwrap(),
-            spawn::generate_snapshots(&k, 1500, &cfg).unwrap(),
-        );
-        let pooled = monte_carlo_covariance(&k, 1500, &cfg).unwrap();
-        let spawned = spawn::monte_carlo_covariance(&k, 1500, &cfg).unwrap();
-        assert_eq!(
-            pooled.as_slice(),
-            spawned.as_slice(),
-            "per-chunk covariance slots must make the estimate bit-identical"
-        );
-        let base = RealtimeConfig {
-            covariance: k,
-            idft_size: 128,
-            normalized_doppler: 0.05,
-            sigma_orig_sq: 0.5,
-            seed: 2,
-            precision: Precision::F64,
-        };
-        assert_eq!(
-            generate_realtime_paths(&base, 5, &cfg).unwrap(),
-            spawn::generate_realtime_paths(&base, 5, &cfg).unwrap(),
-        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! The multi-stream batch engine: many named scenarios, one worker pool.
 //!
-//! A production channel emulator does not serve one stream — it serves
-//! *fleets* of them: K clients, each subscribed to a named scenario from
-//! `corrfade-scenarios`, each expecting its next block of correlated
-//! Doppler-shaped samples. [`StreamFleet`] is that serving surface:
+//! [`StreamFleet`] advances K real-time streams in **lockstep**: every
+//! advance produces the next block of correlated Doppler-shaped samples
+//! for every stream at once — the shape of a Monte-Carlo sweep or of the
+//! `corrfade-network` link groups. Streams paced by independent consumers
+//! (the socket server's connections) do not belong here: each of those
+//! owns its own [`RealtimeGenerator`], since two streams never share
+//! state.
 //!
 //! * **Open by name** — [`StreamFleet::open`] resolves each name through
 //!   the scenario registry and builds its real-time generator through the
@@ -29,7 +32,7 @@
 //!   ([`Scenario::build_realtime`] + repeated `next_block_into`), on any
 //!   thread count and both kernel backends.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 use corrfade::{ChannelStream, RealtimeGenerator, SampleBlock};
 use corrfade_scenarios::{lookup, Scenario};
@@ -55,39 +58,6 @@ pub fn stream_seed(master_seed: u64, index: usize) -> u64 {
 struct FleetSlot {
     stream: RealtimeGenerator,
     block: SampleBlock,
-}
-
-/// Handle to a dynamically subscribed fleet stream, returned by
-/// [`StreamFleet::subscribe`] and consumed by
-/// [`StreamFleet::advance_subscriber_with`] /
-/// [`StreamFleet::unsubscribe`].
-///
-/// Keys are generation-stamped: after `unsubscribe`, any retained copy of
-/// the key goes stale and is reported as
-/// [`ParallelError::UnknownStream`] instead of silently reading whichever
-/// newer subscriber happens to reuse the slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StreamKey {
-    index: usize,
-    generation: u64,
-}
-
-/// One dynamic-subscriber slot: the generation stamp outlives the
-/// subscription so stale keys are detectable, and the pooled [`FleetSlot`]
-/// is dropped on unsubscribe (a later subscriber re-sizes a fresh block —
-/// steady-state zero allocation is a per-connection property, not a
-/// cross-connection one).
-struct SubscriberSlot {
-    generation: u64,
-    live: Option<FleetSlot>,
-}
-
-/// Recovers a subscriber-slot guard from poisoning: a panic inside one
-/// connection's generation only concerns that connection, and the slot is
-/// either unsubscribed (cleanup path) or re-initialized (slot reuse) before
-/// any other stream touches it.
-fn lock_subscriber(slot: &Mutex<SubscriberSlot>) -> std::sync::MutexGuard<'_, SubscriberSlot> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A batch of named real-time channel streams generated together on the
@@ -116,16 +86,6 @@ pub struct StreamFleet {
     /// advance (no allocation once warm), popped by executors with
     /// stealing for skew tolerance.
     stealing: StealQueues,
-    /// Dynamically subscribed streams (see [`StreamFleet::subscribe`]):
-    /// slot-mutexed so connection threads advance disjoint subscribers
-    /// concurrently through a shared `&StreamFleet`.
-    subscribers: Vec<Mutex<SubscriberSlot>>,
-    /// Indices of `subscribers` slots freed by unsubscribe, reused before
-    /// the vector grows again (bounds memory at the concurrency high-water
-    /// mark instead of the total connection count).
-    free_subscriber_slots: Vec<usize>,
-    /// Number of currently live subscribers.
-    active_subscribers: usize,
 }
 
 impl std::fmt::Debug for StreamFleet {
@@ -133,7 +93,6 @@ impl std::fmt::Debug for StreamFleet {
         f.debug_struct("StreamFleet")
             .field("streams", &self.scenarios.len())
             .field("master_seed", &self.master_seed)
-            .field("subscribers", &self.active_subscribers)
             .finish_non_exhaustive()
     }
 }
@@ -213,9 +172,6 @@ impl StreamFleet {
             samples_per_advance,
             master_seed,
             stealing: StealQueues::default(),
-            subscribers: Vec::new(),
-            free_subscriber_slots: Vec::new(),
-            active_subscribers: 0,
         }
     }
 
@@ -337,152 +293,6 @@ impl StreamFleet {
     pub fn block_mut(&mut self, i: usize) -> &mut SampleBlock {
         &mut self.slots[i].get_mut().unwrap().block
     }
-
-    /// Attaches a *dynamic* stream to the fleet — the serving-side
-    /// counterpart of the fixed streams passed to [`StreamFleet::open`].
-    ///
-    /// Unlike the fixed streams (whose seeds derive from the fleet master
-    /// seed via [`stream_seed`]), a subscriber uses the **exact** `seed` it
-    /// asked for: a network client that requests `(scenario, seed)` must
-    /// receive blocks bit-identical to running
-    /// [`Scenario::build_realtime`]`(seed)` standalone, so no derivation may
-    /// sit in between. The generator is built through the process-wide
-    /// decomposition cache ([`Scenario::build_realtime_cached`]) and owns a
-    /// pooled [`SampleBlock`] — one block per subscriber for its whole
-    /// lifetime, so per-connection steady state allocates nothing.
-    ///
-    /// Subscribers are **not** touched by the lockstep
-    /// [`StreamFleet::advance`] family; each one advances independently (at
-    /// its consumer's pace) via [`StreamFleet::advance_subscriber_with`],
-    /// which takes `&self` so disjoint subscribers proceed concurrently.
-    /// Unsubscribed slots are reused by later subscriptions.
-    ///
-    /// # Errors
-    /// [`ParallelError::Scenario`] when the scenario fails to build.
-    pub fn subscribe(
-        &mut self,
-        scenario: &'static Scenario,
-        seed: u64,
-    ) -> Result<StreamKey, ParallelError> {
-        let stream = scenario.build_realtime_cached(seed)?;
-        let live = Some(FleetSlot {
-            stream,
-            block: SampleBlock::empty(),
-        });
-        let key = if let Some(index) = self.free_subscriber_slots.pop() {
-            let generation = match self.subscribers[index].get_mut() {
-                Ok(slot) => slot.generation,
-                Err(poisoned) => poisoned.into_inner().generation,
-            } + 1;
-            // Replacing the mutex wholesale also clears any poisoning left
-            // by a previous owner's panic.
-            self.subscribers[index] = Mutex::new(SubscriberSlot { generation, live });
-            StreamKey { index, generation }
-        } else {
-            let index = self.subscribers.len();
-            self.subscribers.push(Mutex::new(SubscriberSlot {
-                generation: 1,
-                live,
-            }));
-            StreamKey {
-                index,
-                generation: 1,
-            }
-        };
-        self.active_subscribers += 1;
-        Ok(key)
-    }
-
-    /// Detaches a subscribed stream, freeing its slot for reuse. Returns
-    /// `false` when the key is stale (already unsubscribed, or superseded by
-    /// a newer subscriber in the same slot) — idempotent by design, since
-    /// connection teardown paths can race their own error handling.
-    pub fn unsubscribe(&mut self, key: StreamKey) -> bool {
-        let Some(slot) = self.subscribers.get_mut(key.index) else {
-            return false;
-        };
-        let slot = match slot.get_mut() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if slot.generation != key.generation || slot.live.is_none() {
-            return false;
-        }
-        slot.live = None;
-        self.free_subscriber_slots.push(key.index);
-        self.active_subscribers -= 1;
-        true
-    }
-
-    /// Number of currently subscribed dynamic streams.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        self.active_subscribers
-    }
-
-    /// Fast-forwards subscriber `key` past `blocks` blocks without
-    /// generating them — the serving layer's **resume** path. Only the RNG
-    /// draws of the skipped blocks are replayed
-    /// ([`RealtimeGenerator::skip_blocks`]); the IDFT/coloring kernels and
-    /// all output writes are skipped, so catching a reconnected client up
-    /// to its block cursor costs a fraction of regeneration. Afterwards
-    /// [`StreamFleet::advance_subscriber_with`] produces the
-    /// `blocks + 1`-th block of the uninterrupted stream, bit for bit.
-    ///
-    /// Takes `&self` like the advance path: the slot mutex serializes the
-    /// skip against concurrent advances of the same subscriber.
-    ///
-    /// # Errors
-    /// [`ParallelError::UnknownStream`] when the key is stale.
-    pub fn skip_subscriber_blocks(&self, key: StreamKey, blocks: u64) -> Result<(), ParallelError> {
-        let Some(slot) = self.subscribers.get(key.index) else {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        };
-        let mut slot = lock_subscriber(slot);
-        if slot.generation != key.generation {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        }
-        let Some(FleetSlot { stream, .. }) = slot.live.as_mut() else {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        };
-        stream.skip_blocks(blocks);
-        Ok(())
-    }
-
-    /// Generates subscriber `key`'s next block into its pooled block and
-    /// hands the freshly written block to `f` (typically a wire encoder)
-    /// while the slot lock is held — the zero-copy read path.
-    ///
-    /// Takes `&self`: every subscriber sits behind its own slot mutex, so
-    /// any number of connection threads advance *different* subscribers
-    /// concurrently (a serving front-end holds the fleet behind an
-    /// `RwLock`, taking read guards here and write guards only for
-    /// subscribe/unsubscribe). The produced blocks are bit-identical to a
-    /// standalone [`Scenario::build_realtime`] stream with the same seed,
-    /// whatever the interleaving.
-    ///
-    /// # Errors
-    /// [`ParallelError::UnknownStream`] when the key is stale.
-    pub fn advance_subscriber_with<R>(
-        &self,
-        key: StreamKey,
-        f: impl FnOnce(&SampleBlock) -> R,
-    ) -> Result<R, ParallelError> {
-        let Some(slot) = self.subscribers.get(key.index) else {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        };
-        let mut slot = lock_subscriber(slot);
-        if slot.generation != key.generation {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        }
-        let Some(FleetSlot { stream, block }) = slot.live.as_mut() else {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        };
-        stream
-            .next_block_into(block)
-            .expect("realtime generation is infallible after construction");
-        Ok(f(block))
-    }
 }
 
 #[cfg(test)]
@@ -527,104 +337,6 @@ mod tests {
         assert!(fleet.is_empty());
         fleet.advance().unwrap();
         fleet.advance_sequential().unwrap();
-    }
-
-    #[test]
-    fn subscribers_match_standalone_streams_and_slots_are_reused() {
-        use corrfade::ChannelStream;
-
-        let mut fleet = StreamFleet::open(&[], 0).unwrap();
-        let scenario = lookup("two-envelope-complex").unwrap();
-        let a = fleet.subscribe(scenario, 41).unwrap();
-        let b = fleet.subscribe(scenario, 42).unwrap();
-        assert_eq!(fleet.subscriber_count(), 2);
-
-        // The subscriber uses the exact requested seed: bit-identical to a
-        // standalone realtime stream, block after block.
-        let mut reference = scenario.build_realtime(42).unwrap();
-        let mut expected = SampleBlock::empty();
-        for _ in 0..3 {
-            reference.next_block_into(&mut expected).unwrap();
-            let matches = fleet
-                .advance_subscriber_with(b, |block| block == &expected)
-                .unwrap();
-            assert!(matches, "subscriber block diverged from standalone stream");
-        }
-
-        // Unsubscribe frees the slot; stale keys are typed errors and
-        // re-unsubscribing is an idempotent no-op.
-        assert!(fleet.unsubscribe(b));
-        assert!(!fleet.unsubscribe(b));
-        assert_eq!(fleet.subscriber_count(), 1);
-        assert!(matches!(
-            fleet.advance_subscriber_with(b, |_| ()),
-            Err(ParallelError::UnknownStream { index: 1 })
-        ));
-
-        // The freed slot is reused with a bumped generation, so the old key
-        // stays dead even though the indices collide.
-        let c = fleet.subscribe(scenario, 43).unwrap();
-        assert!(matches!(
-            fleet.advance_subscriber_with(b, |_| ()),
-            Err(ParallelError::UnknownStream { .. })
-        ));
-        fleet.advance_subscriber_with(c, |_| ()).unwrap();
-        fleet.advance_subscriber_with(a, |_| ()).unwrap();
-        assert_eq!(fleet.subscriber_count(), 2);
-    }
-
-    #[test]
-    fn skipped_subscribers_resume_bit_identically() {
-        use corrfade::ChannelStream;
-
-        // The resume contract end to end through the fleet: skip k blocks,
-        // then advance — the produced block is the standalone stream's
-        // (k+1)-th block, bit for bit.
-        let mut fleet = StreamFleet::open(&[], 0).unwrap();
-        let scenario = lookup("two-envelope-complex").unwrap();
-        let key = fleet.subscribe(scenario, 77).unwrap();
-        fleet.skip_subscriber_blocks(key, 3).unwrap();
-
-        let mut reference = scenario.build_realtime(77).unwrap();
-        let mut expected = SampleBlock::empty();
-        for _ in 0..4 {
-            reference.next_block_into(&mut expected).unwrap();
-        }
-        let matches = fleet
-            .advance_subscriber_with(key, |block| block == &expected)
-            .unwrap();
-        assert!(matches, "resumed subscriber diverged from block 4");
-
-        // Stale keys are typed errors on the skip path too.
-        fleet.unsubscribe(key);
-        assert!(matches!(
-            fleet.skip_subscriber_blocks(key, 1),
-            Err(ParallelError::UnknownStream { .. })
-        ));
-    }
-
-    #[test]
-    fn subscribers_are_independent_of_lockstep_advances() {
-        use corrfade::ChannelStream;
-
-        // A lockstep advance of the fixed streams must not move subscriber
-        // streams, and vice versa.
-        let mut fleet = StreamFleet::open(&["fig4a-spectral"], 5).unwrap();
-        let scenario = lookup("two-envelope-complex").unwrap();
-        let key = fleet.subscribe(scenario, 9).unwrap();
-        fleet.advance().unwrap();
-        fleet.advance().unwrap();
-
-        let mut reference = scenario.build_realtime(9).unwrap();
-        let mut expected = SampleBlock::empty();
-        reference.next_block_into(&mut expected).unwrap();
-        let first_matches = fleet
-            .advance_subscriber_with(key, |block| block == &expected)
-            .unwrap();
-        assert!(
-            first_matches,
-            "lockstep advances must not consume subscriber RNG state"
-        );
     }
 
     #[test]

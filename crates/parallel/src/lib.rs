@@ -34,9 +34,7 @@
 //! allocation per block. Chunk seeds are derived from `(master seed, chunk
 //! index)` and the chunk layout from `(total, chunk_size)` only, so results
 //! do not depend on the number of worker threads — the statistical
-//! regression tests in the workspace rely on that property. The
-//! [`engine::spawn`] module keeps the historical spawn-per-call execution
-//! (bit-identical results) for comparison benchmarks.
+//! regression tests in the workspace rely on that property.
 //!
 //! Failures are typed, never cascading: a zero
 //! [`ParallelConfig::chunk_size`] is [`ParallelError::InvalidChunkSize`],
@@ -58,10 +56,10 @@ pub mod stealing;
 
 pub use engine::{
     generate_realtime_paths, generate_realtime_paths_on, generate_snapshots, generate_snapshots_on,
-    monte_carlo_covariance, monte_carlo_covariance_on, spawn, ParallelConfig,
+    monte_carlo_covariance, monte_carlo_covariance_on, ParallelConfig,
 };
 pub use error::ParallelError;
-pub use fleet::{stream_seed, StreamFleet, StreamKey};
+pub use fleet::{stream_seed, StreamFleet};
 pub use partition::{
     balanced_chunk_size, chunk_seed, partition, round_robin_lane, Chunk, MIN_CHUNK_SAMPLES,
     TARGET_CHUNKS,

@@ -33,9 +33,6 @@ pub enum ServeError {
         /// Which protocol step the close interrupted.
         during: &'static str,
     },
-    /// The shared fleet rejected an operation (stale stream key, scenario
-    /// build failure, …).
-    Fleet(corrfade_parallel::ParallelError),
     /// A retrying operation (connect-with-retry, resuming stream) exhausted
     /// its attempt budget; `last` is the error of the final attempt.
     RetriesExhausted {
@@ -61,7 +58,6 @@ impl fmt::Display for ServeError {
             ServeError::ConnectionClosed { during } => {
                 write!(f, "connection closed during {during}")
             }
-            ServeError::Fleet(e) => write!(f, "fleet error: {e}"),
             ServeError::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempt(s); last error: {last}")
             }
@@ -74,7 +70,6 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io(e) => Some(e),
             ServeError::Protocol(e) => Some(e),
-            ServeError::Fleet(e) => Some(e),
             ServeError::RetriesExhausted { last, .. } => Some(last.as_ref()),
             ServeError::Server { .. }
             | ServeError::UnexpectedFrame { .. }
@@ -92,12 +87,6 @@ impl From<std::io::Error> for ServeError {
 impl From<ProtocolError> for ServeError {
     fn from(e: ProtocolError) -> Self {
         ServeError::Protocol(e)
-    }
-}
-
-impl From<corrfade_parallel::ParallelError> for ServeError {
-    fn from(e: corrfade_parallel::ParallelError) -> Self {
-        ServeError::Fleet(e)
     }
 }
 

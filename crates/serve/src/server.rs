@@ -1,18 +1,17 @@
 //! The channel-as-a-service server: accepts TCP/Unix-socket connections,
 //! resolves each request against the scenario registry, and streams
-//! length-prefixed [`SampleBlock`](corrfade::SampleBlock)-framed Doppler
-//! blocks from a shared [`StreamFleet`].
+//! length-prefixed [`SampleBlock`]-framed Doppler blocks.
 //!
 //! ## Threading model
 //!
-//! One accept thread plus one thread per live connection. Every connection
-//! subscribes its `(scenario, seed)` stream into the shared fleet (behind
-//! an `RwLock`: subscribe/unsubscribe take the write lock for microseconds,
-//! block generation takes read locks, so connections generate
-//! concurrently), owns **one pooled block** inside its fleet slot and one
-//! pooled wire buffer — after the first block, a connection's steady state
-//! performs **zero heap allocation** (encode into the warm buffer, generate
-//! into the pooled block, `write_all` to the socket; the workspace
+//! One accept thread plus one thread per live connection. Each connection
+//! owns its generator and block: it builds the `(scenario, seed)` stream
+//! with [`build_realtime_cached`] (the decomposition cache is the only
+//! state streams share), generates into its own [`SampleBlock`] and
+//! encodes into its own wire buffer. No lock is shared between
+//! connections. After the first block, a connection's steady state
+//! performs **zero heap allocation** (generate into the warm block, encode
+//! into the warm buffer, `write_all` to the socket; the workspace
 //! allocation-regression test measures this through a real socket).
 //!
 //! ## Failure behavior
@@ -22,28 +21,31 @@
 //!   typed **error frame** before the connection closes — never a silent
 //!   drop.
 //! * A client that disappears mid-stream only tears down its own
-//!   subscription; the fleet and every other connection are untouched.
+//!   connection; every other connection is untouched.
 //! * When [`ServerConfig::max_sessions`] is set, a connection beyond the
 //!   cap is answered with a typed `BUSY` error frame (admission control)
 //!   instead of queueing behind the accept backlog; the client's retry
 //!   machinery treats it as transient and backs off.
 //! * A v2 **resume** request (non-zero block cursor) fast-forwards a fresh
-//!   subscription past the cursor — replaying only the RNG draws, skipping
+//!   generator past the cursor — replaying only the RNG draws, skipping
 //!   IDFT/coloring work — so the resumed stream is bit-identical to the
-//!   uninterrupted one from that cursor.
+//!   uninterrupted one from that cursor. The replay checks for shutdown
+//!   before every block, so a huge cursor cannot pin shutdown.
 //! * [`Server::shutdown`] stops accepting, then **drains**: in-flight
 //!   connections get [`ServerConfig::drain_timeout`] to finish their
 //!   current block and send a `SERVER_SHUTDOWN` error frame before any
 //!   still-blocked socket is forcibly interrupted; all threads are joined
 //!   and the Unix socket file is removed.
+//!
+//! [`build_realtime_cached`]: corrfade_scenarios::Scenario::build_realtime_cached
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use corrfade_parallel::{StreamFleet, StreamKey};
+use corrfade::{ChannelStream, RealtimeGenerator, SampleBlock};
 use corrfade_scenarios::{lookup, ScenarioError};
 
 use crate::error::ServeError;
@@ -106,7 +108,8 @@ struct Counters {
 pub struct ServerStats {
     /// Connections accepted since bind.
     pub accepted: u64,
-    /// Connections currently being served.
+    /// Connections currently being served. A connection stays counted
+    /// until its session ends, an error frame's close sequence included.
     pub active: u64,
     /// Block frames written since bind.
     pub blocks_sent: u64,
@@ -117,8 +120,6 @@ pub struct ServerStats {
     /// Error frames broken down by wire code: `errors_by_code[code]` for
     /// codes `1..=12` (slot 0 is unused); see [`ServerStats::error_count`].
     pub errors_by_code: [u64; ERROR_CODE_SLOTS],
-    /// Live fleet subscriptions (one per streaming connection).
-    pub subscribers: usize,
 }
 
 impl ServerStats {
@@ -136,20 +137,9 @@ impl ServerStats {
 /// State shared between the accept thread, the connection threads and the
 /// owning [`Server`] handle.
 struct Shared {
-    fleet: RwLock<StreamFleet>,
     config: ServerConfig,
     shutting_down: AtomicBool,
     counters: Counters,
-}
-
-impl Shared {
-    fn fleet_read(&self) -> std::sync::RwLockReadGuard<'_, StreamFleet> {
-        self.fleet.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn fleet_write(&self) -> std::sync::RwLockWriteGuard<'_, StreamFleet> {
-        self.fleet.write().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// Join handle + socket handle of one spawned connection thread; the socket
@@ -212,7 +202,6 @@ impl Server {
     pub fn bind(addr: ServeAddr, config: ServerConfig) -> Result<Self, ServeError> {
         let (listener, local_addr) = Listener::bind(&addr)?;
         let shared = Arc::new(Shared {
-            fleet: RwLock::new(StreamFleet::open(&[], 0).expect("an empty fleet always opens")),
             config,
             shutting_down: AtomicBool::new(false),
             counters: Counters::default(),
@@ -255,7 +244,6 @@ impl Server {
             error_frames: c.error_frames.load(Ordering::Relaxed),
             resumed_sessions: c.resumed_sessions.load(Ordering::Relaxed),
             errors_by_code,
-            subscribers: self.shared.fleet_read().subscriber_count(),
         }
     }
 
@@ -439,8 +427,7 @@ fn serve_connection(shared: &Shared, mut conn: Conn) {
 }
 
 /// One session from request to end frame. Every exit path either sent an
-/// error frame or finished the stream; the fleet subscription is always
-/// released.
+/// error frame or finished the stream.
 fn serve_session(shared: &Shared, conn: &mut Conn) {
     let _active = ActiveGuard::new(&shared.counters);
     if conn
@@ -489,8 +476,10 @@ fn serve_session(shared: &Shared, conn: &mut Conn) {
         Err(_) => return,
     };
 
-    let scenario = match lookup(&request.scenario) {
-        Ok(scenario) => scenario,
+    let mut generator = match lookup(&request.scenario)
+        .and_then(|scenario| scenario.build_realtime_cached(request.seed))
+    {
+        Ok(generator) => generator,
         Err(ScenarioError::UnknownScenario { name, suggestion }) => {
             let e = ProtocolError::UnknownScenario {
                 name,
@@ -508,31 +497,18 @@ fn serve_session(shared: &Shared, conn: &mut Conn) {
         }
     };
 
-    let key = match shared.fleet_write().subscribe(scenario, request.seed) {
-        Ok(key) => key,
-        Err(e) => {
-            let e = ProtocolError::ScenarioRejected {
-                message: e.to_string(),
-            };
-            send_error_frame(conn, &mut wire, shared, &e);
-            return;
-        }
-    };
-
-    // v2 resume: fast-forward the fresh subscription past the cursor by
+    // v2 resume: fast-forward the fresh generator past the cursor by
     // replaying only its RNG draws (no IDFT/coloring work), so the blocks
     // streamed below are bit-identical to `cursor..` of the uninterrupted
-    // stream.
+    // stream. One block at a time (bit-identical to one `skip_blocks`
+    // call), so shutdown is observed at every block boundary.
     if request.cursor > 0 {
-        if shared
-            .fleet_read()
-            .skip_subscriber_blocks(key, request.cursor)
-            .is_err()
-        {
-            // Stale key this early can only mean shutdown raced us.
-            send_error_frame(conn, &mut wire, shared, &ProtocolError::ServerShutdown);
-            shared.fleet_write().unsubscribe(key);
-            return;
+        for _ in 0..request.cursor {
+            if shared.shutting_down.load(Ordering::Relaxed) {
+                send_error_frame(conn, &mut wire, shared, &ProtocolError::ServerShutdown);
+                return;
+            }
+            generator.skip_blocks(1);
         }
         shared
             .counters
@@ -540,28 +516,26 @@ fn serve_session(shared: &Shared, conn: &mut Conn) {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    stream_blocks(shared, conn, &mut wire, key, scenario, &request);
-    shared.fleet_write().unsubscribe(key);
+    stream_blocks(shared, conn, &mut wire, &mut generator, &request);
 }
 
-/// Header + blocks + end. Split out so `serve_connection` can guarantee the
-/// unsubscribe on every path.
+/// Header + blocks + end, generated into one connection-local block.
 fn stream_blocks(
     shared: &Shared,
     conn: &mut Conn,
     wire: &mut Vec<u8>,
-    key: StreamKey,
-    scenario: &corrfade_scenarios::Scenario,
+    generator: &mut RealtimeGenerator,
     request: &Request,
 ) {
-    let envelopes = u32::try_from(scenario.envelopes).unwrap_or(u32::MAX);
-    let samples = u32::try_from(scenario.doppler.idft_size).unwrap_or(u32::MAX);
+    let envelopes = u32::try_from(generator.dimension()).unwrap_or(u32::MAX);
+    let samples = u32::try_from(generator.block_len()).unwrap_or(u32::MAX);
     wire.clear();
     encode_header_frame(wire, envelopes, samples, request.blocks);
     if conn.write_all(wire).is_err() {
         return;
     }
 
+    let mut block = SampleBlock::empty();
     let mut sent = 0u32;
     while sent < request.blocks {
         if shared.shutting_down.load(Ordering::Relaxed) {
@@ -573,17 +547,13 @@ fn stream_blocks(
         // stitching runs together can verify continuity. The decode-time
         // cursor validation guarantees this fits u32.
         let index = u32::try_from(request.cursor + u64::from(sent)).unwrap_or(u32::MAX);
-        let encoded = shared.fleet_read().advance_subscriber_with(key, |block| {
-            wire.clear();
-            encode_block_frame(wire, index, block);
-        });
-        if encoded.is_err() {
-            // Stale key mid-stream can only mean shutdown raced us.
-            send_error_frame(conn, wire, shared, &ProtocolError::ServerShutdown);
-            return;
-        }
+        generator
+            .next_block_into(&mut block)
+            .expect("realtime generation is infallible after construction");
+        wire.clear();
+        encode_block_frame(wire, index, &block);
         if conn.write_all(wire).is_err() {
-            // Client went away; its subscription is released by the caller.
+            // Client went away.
             return;
         }
         shared.counters.blocks_sent.fetch_add(1, Ordering::Relaxed);

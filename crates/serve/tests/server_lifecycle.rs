@@ -7,6 +7,8 @@
 //! job).
 
 use std::io::{Read, Write};
+use std::mem::ManuallyDrop;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use corrfade::{ChannelStream, SampleBlock};
@@ -104,10 +106,8 @@ fn concurrent_clients_get_independent_deterministic_streams() {
     assert_eq!(results[0].2, results[1].2);
     assert_ne!(results[1].2, results[2].2);
 
-    // Every subscription was released.
-    wait_until("all subscriptions released", || {
-        server.stats().subscribers == 0
-    });
+    // Every connection was closed.
+    wait_until("all connections closed", || server.stats().active == 0);
     let stats = server.stats();
     assert_eq!(stats.accepted, 6);
     assert_eq!(stats.blocks_sent, 18);
@@ -122,7 +122,7 @@ fn concurrent_clients_get_independent_deterministic_streams() {
 }
 
 #[test]
-fn mid_stream_disconnect_does_not_poison_the_fleet() {
+fn mid_stream_disconnect_leaves_the_server_serving() {
     let server = tcp_server();
     let addr = server.local_addr().clone();
 
@@ -135,10 +135,10 @@ fn mid_stream_disconnect_does_not_poison_the_fleet() {
         // Dropped here: the connection closes with the server mid-stream.
     }
 
-    // The server notices the broken pipe and releases the subscription.
-    wait_until("disconnect cleanup", || server.stats().subscribers == 0);
+    // The server notices the broken pipe and closes the connection.
+    wait_until("disconnect cleanup", || server.stats().active == 0);
 
-    // The fleet still serves new clients, bit-identically — including the
+    // The server still serves new clients, bit-identically — including the
     // exact (scenario, seed) the dropped client was using.
     let mut client = Client::connect(&addr).unwrap();
     client.subscribe("two-envelope-complex", 5, 2).unwrap();
@@ -202,7 +202,7 @@ fn protocol_errors_arrive_as_typed_frames() {
     assert_eq!(c, code::BAD_MAGIC);
 
     // Each rejected request was counted — totals and exact per-code
-    // breakdown — and none left a subscription.
+    // breakdown — and none left its connection open.
     wait_until("error-frame counters", || server.stats().error_frames == 3);
     let stats = server.stats();
     assert_eq!(stats.error_count(code::UNKNOWN_SCENARIO), 1);
@@ -215,7 +215,7 @@ fn protocol_errors_arrive_as_typed_frames() {
         stats.errors_by_code
     );
     assert_eq!(stats.error_count(code::BUSY), 0);
-    assert_eq!(stats.subscribers, 0);
+    wait_until("rejected connections closed", || server.stats().active == 0);
     server.shutdown().unwrap();
 }
 
@@ -224,7 +224,7 @@ fn f32_stream_requests_get_a_typed_precision_error_frame() {
     // Wire v1 streams f64 blocks only; the f32 fast tier's header flag is
     // reserved for v2. A flagged request must not be misread as an oversized
     // name or silently served widened — it earns its own typed error frame
-    // and leaves no subscription behind.
+    // and leaves no connection behind.
     let server = tcp_server();
     let addr = server.local_addr().clone();
 
@@ -255,7 +255,7 @@ fn f32_stream_requests_get_a_typed_precision_error_frame() {
 
     wait_until("error-frame counter", || server.stats().error_frames == 1);
     assert_eq!(server.stats().error_count(code::PRECISION_UNSUPPORTED), 1);
-    assert_eq!(server.stats().subscribers, 0);
+    wait_until("rejected connection closed", || server.stats().active == 0);
     server.shutdown().unwrap();
 }
 
@@ -288,7 +288,7 @@ fn resumed_sessions_are_bit_identical_and_counted() {
     fresh.subscribe("two-envelope-complex", 21, 1).unwrap();
     fresh.collect_blocks().unwrap();
 
-    wait_until("subscriptions released", || server.stats().subscribers == 0);
+    wait_until("connections closed", || server.stats().active == 0);
     let stats = server.stats();
     assert_eq!(stats.resumed_sessions, 1);
     assert_eq!(stats.blocks_sent, 5);
@@ -327,11 +327,12 @@ fn admission_control_answers_busy_and_counts_it() {
         message,
     }));
 
-    // The refusal is counted under its own code and took no subscription.
+    // The refusal is counted under its own code, and once the refused
+    // connection closes only the holder is left.
     wait_until("busy counter", || {
         server.stats().error_count(code::BUSY) == 1
     });
-    assert_eq!(server.stats().subscribers, 1, "only the holder subscribes");
+    wait_until("busy connection closed", || server.stats().active == 1);
 
     // Once the slot frees up, the same client address is admitted again.
     drop(holder);
@@ -375,10 +376,13 @@ fn shutdown_joins_all_connection_threads_and_stops_streams() {
     let server = tcp_server();
     let addr = server.local_addr().clone();
 
-    // Three clients in the middle of very long streams.
+    // Three clients in the middle of very long streams; each signals once
+    // its first block arrived, so all three streams exist before shutdown.
+    let (streaming_tx, streaming_rx) = mpsc::channel();
     let clients: Vec<_> = (0..3)
         .map(|i| {
             let addr = addr.clone();
+            let streaming_tx = streaming_tx.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).unwrap();
                 client
@@ -388,7 +392,12 @@ fn shutdown_joins_all_connection_threads_and_stops_streams() {
                 let mut received = 0u64;
                 loop {
                     match client.next_block_into(&mut block) {
-                        Ok(Some(_)) => received += 1,
+                        Ok(Some(_)) => {
+                            if received == 0 {
+                                streaming_tx.send(()).unwrap();
+                            }
+                            received += 1;
+                        }
                         // The stream must terminate (shutdown frame, reset,
                         // or close) — never hang and never end cleanly,
                         // since u32::MAX blocks were requested.
@@ -404,9 +413,11 @@ fn shutdown_joins_all_connection_threads_and_stops_streams() {
             })
         })
         .collect();
-    wait_until("all three streams active", || {
-        server.stats().subscribers == 3
-    });
+    for _ in 0..3 {
+        streaming_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("timed out waiting for all three streams");
+    }
 
     // shutdown() blocks until the accept thread and every connection
     // thread have been joined — when it returns, nothing is left running.
@@ -418,4 +429,68 @@ fn shutdown_joins_all_connection_threads_and_stops_streams() {
 
     // The listener is gone: new connections are refused.
     assert!(Conn::connect(&addr, Duration::from_millis(500)).is_err());
+}
+
+#[test]
+fn a_huge_resume_cursor_neither_stalls_other_sessions_nor_pins_shutdown() {
+    // Held in `ManuallyDrop` until the shutdown step: a failed assertion
+    // would otherwise run `Server::drop`, which joins the replaying thread,
+    // and the test would hang instead of failing.
+    let server = ManuallyDrop::new(tcp_server());
+    let addr = server.local_addr().clone();
+    let watchdog = Duration::from_secs(30);
+
+    // Connection A resumes at the last cursor the wire admits: its RNG
+    // replay would run for days.
+    let (resume_tx, resume_rx) = mpsc::channel();
+    {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).unwrap();
+            let cursor = u64::from(u32::MAX - 1);
+            let result = client.subscribe_at("two-envelope-complex", 9, 1, cursor);
+            resume_tx.send(result.map(|_| ())).unwrap();
+        });
+    }
+    wait_until("resuming connection accepted", || {
+        server.stats().active == 1
+    });
+    // Give the server time to read A's request and enter the replay.
+    std::thread::sleep(Duration::from_millis(200));
+
+    // Connection B streams to completion while A replays.
+    let (stream_tx, stream_rx) = mpsc::channel();
+    {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).unwrap();
+            client.subscribe("two-envelope-complex", 10, 2).unwrap();
+            let streamed: Vec<Vec<u64>> =
+                client.collect_blocks().unwrap().iter().map(bits).collect();
+            stream_tx.send(streamed).unwrap();
+        });
+    }
+    let streamed = stream_rx
+        .recv_timeout(watchdog)
+        .expect("second session stalled behind the resume replay");
+    assert_eq!(streamed, standalone("two-envelope-complex", 10, 2));
+
+    // Shutdown interrupts the replay at its next block boundary.
+    let (shutdown_tx, shutdown_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let result = ManuallyDrop::into_inner(server).shutdown();
+        shutdown_tx.send(result.is_ok()).unwrap();
+    });
+    assert!(
+        shutdown_rx.recv_timeout(watchdog).expect("shutdown hung"),
+        "shutdown failed"
+    );
+    let err = resume_rx
+        .recv_timeout(watchdog)
+        .expect("resuming client never got an answer")
+        .expect_err("a days-long replay cannot have finished");
+    let ServeError::Server { code: c, .. } = err else {
+        panic!("expected a SERVER_SHUTDOWN frame, got {err}");
+    };
+    assert_eq!(c, code::SERVER_SHUTDOWN);
 }
