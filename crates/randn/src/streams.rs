@@ -70,24 +70,30 @@ impl RandomStream {
     pub fn child(&self, index: u64) -> Self {
         Self::substream(
             self.seed,
-            self.stream.wrapping_mul(0x1_0000).wrapping_add(index + 1),
+            self.stream
+                .wrapping_mul(0x1_0000)
+                .wrapping_add(index.wrapping_add(1)),
         )
     }
 }
 
 impl RngCore for RandomStream {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         self.rng.next_u32()
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         self.rng.next_u64()
     }
 
+    #[inline]
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         self.rng.fill_bytes(dest);
     }
 
+    #[inline]
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.rng.try_fill_bytes(dest)
     }

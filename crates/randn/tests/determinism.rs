@@ -105,3 +105,15 @@ fn child_streams_are_deterministic_functions_of_parent_identity() {
     };
     assert_eq!(collisions, 0);
 }
+
+#[test]
+fn child_index_u64_max_wraps_instead_of_overflowing() {
+    // `index + 1` wraps to 0, as release builds always computed it, so the
+    // child is substream `parent_stream * 0x1_0000` of the same seed.
+    let parent = RandomStream::substream(11, 6);
+    let mut child = parent.child(u64::MAX);
+    let mut expected = RandomStream::substream(11, 6 * 0x1_0000);
+    for _ in 0..64 {
+        assert_eq!(child.next_u64(), expected.next_u64());
+    }
+}
