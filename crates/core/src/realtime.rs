@@ -725,6 +725,18 @@ mod tests {
             RealtimeGenerator::new(bad_sigma),
             Err(CorrfadeError::Dsp(_))
         ));
+        // Non-finite σ²_orig, or one whose Eq.-19 output variance overflows
+        // to ∞ or underflows to 0, would give a NaN or all-zero block.
+        for sigma_orig_sq in [f64::INFINITY, f64::NAN, f64::MAX, 5e-324] {
+            let cfg = RealtimeConfig {
+                sigma_orig_sq,
+                ..small_config(k.clone(), 1)
+            };
+            assert!(
+                matches!(RealtimeGenerator::new(cfg), Err(CorrfadeError::Dsp(_))),
+                "σ²_orig = {sigma_orig_sq} must be rejected"
+            );
+        }
         let bad_cov = RealtimeConfig {
             covariance: CMatrix::zeros(2, 3),
             ..small_config(k, 1)

@@ -19,6 +19,7 @@
 //! baseline ignores it, which is exactly the flaw experiment E8 demonstrates.
 
 use corrfade_linalg::{c64, Complex32, Complex64};
+use corrfade_randn::{polar_disc_pair, polar_factor};
 use corrfade_specfun::bessel_j0;
 use rand::Rng;
 
@@ -186,11 +187,22 @@ pub struct IdftRayleighGenerator {
 impl IdftRayleighGenerator {
     /// Creates a generator from a designed filter and the per-dimension input
     /// variance `σ²_orig` of the Gaussian sequences `{A[k]}`, `{B[k]}`.
+    ///
+    /// # Errors
+    /// [`DspError::InvalidVariance`] unless `σ²_orig` is finite and the
+    /// Eq.-19 output variance `σ_g²` it implies is finite and positive
+    /// (too large overflows `σ_g²` to `∞`, too small underflows it to `0`;
+    /// either would make every generated block non-finite or zero).
     pub fn new(filter: DopplerFilter, sigma_orig_sq: f64) -> Result<Self, DspError> {
-        if sigma_orig_sq <= 0.0 || sigma_orig_sq.is_nan() {
-            return Err(DspError::InvalidVariance {
-                value: sigma_orig_sq,
-            });
+        let invalid = DspError::InvalidVariance {
+            value: sigma_orig_sq,
+        };
+        if !(sigma_orig_sq.is_finite() && sigma_orig_sq > 0.0) {
+            return Err(invalid);
+        }
+        let sigma_g_sq = filter.output_variance(sigma_orig_sq);
+        if !(sigma_g_sq.is_finite() && sigma_g_sq > 0.0) {
+            return Err(invalid);
         }
         Ok(Self {
             filter,
@@ -246,26 +258,31 @@ impl IdftRayleighGenerator {
     /// `out` **without** transforming it — the first half of
     /// [`IdftRayleighGenerator::generate_into`], split out so the fused
     /// coloring+IDFT kernel ([`crate::fused`]) can own the transform.
-    /// Consumes exactly the same RNG draws in the same order as
-    /// `generate_into` (two per bin).
+    ///
+    /// Draw contract: bin `k` consumes exactly one accepted Marsaglia polar
+    /// pair `(x, y, s)` ([`polar_disc_pair`]), in bin order, so `A[k]`,
+    /// `B[k]` are the two Gaussians of the `k`-th pair a fresh
+    /// [`corrfade_randn::NormalSampler`] would return:
+    /// `A = 0 + std·(x·fac)`, `B = 0 + std·(y·fac)` with
+    /// `fac = `[`polar_factor`]`(s)`. In-band bins compute exactly that.
+    ///
+    /// The polar factor (`ln`, divide, `sqrt`) is computed only where
+    /// `F[k] ≠ 0`, with the same bits: for `F[k] = +0` the bin
+    /// `(F·A, −F·B)` is a signed zero, `F·A` taking the sign of `A` and
+    /// `−F·B` the opposite sign of `B`. `A` has the sign of `x` (`+0` when
+    /// `x = +0`; `x` is never `−0`), because `std·(x·fac)` cannot underflow
+    /// to zero for `x ≠ 0`: `|x| ≥ 2⁻⁵²`, `fac ≥ 2⁻²⁶`, and `std ≥ 2⁻⁵³⁷`
+    /// since the constructor rejects a zero or non-finite `σ²_orig`.
+    /// Likewise for `B` and `y`. So the stop band writes `(F·x, −F·y)`.
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the filter length `M`.
     pub fn fill_spectrum_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [Complex64]) {
-        let m = self.filter.len();
-        assert_eq!(
-            out.len(),
-            m,
-            "generate_into: buffer length {} does not match IDFT size {m}",
-            out.len()
-        );
+        check_len(out.len(), self.filter.len());
         let std = self.sigma_orig_sq.sqrt();
-        // Draw A[k], B[k] ~ N(0, σ²_orig) i.i.d. and weight by F[k].
-        let mut sampler = corrfade_randn::NormalSampler::default();
         for (slot, &f) in out.iter_mut().zip(self.filter.coefficients()) {
-            let a = sampler.sample_with(rng, 0.0, std);
-            let b = sampler.sample_with(rng, 0.0, std);
-            *slot = c64(f * a, -f * b);
+            let (re, im) = weighted_bin(rng, f, std);
+            *slot = c64(re, im);
         }
     }
 
@@ -276,18 +293,13 @@ impl IdftRayleighGenerator {
     /// blocks a reconnecting client already holds only needs the RNG state
     /// moved, not the transform or coloring work.
     ///
-    /// The draw pattern must stay bit-for-bit identical to
-    /// `fill_spectrum_into`: a fresh [`corrfade_randn::NormalSampler`] per
-    /// call (the pair cache never crosses spectra) and two `N(0, σ_orig)`
-    /// samples per bin, in bin order. The polar method's rejection count
-    /// depends only on the RNG output sequence, so replaying the draws
-    /// replays the consumption exactly.
+    /// The fill draws one accepted polar pair per bin through
+    /// [`polar_disc_pair`]; so does this, `M` times, without the polar
+    /// factor. The rejection count depends only on the RNG output, so the
+    /// two consume the same draws by construction.
     pub fn skip_spectrum<R: Rng + ?Sized>(&self, rng: &mut R) {
-        let std = self.sigma_orig_sq.sqrt();
-        let mut sampler = corrfade_randn::NormalSampler::default();
         for _ in 0..self.filter.len() {
-            let _ = sampler.sample_with(rng, 0.0, std);
-            let _ = sampler.sample_with(rng, 0.0, std);
+            let _ = polar_disc_pair(rng);
         }
     }
 
@@ -301,21 +313,35 @@ impl IdftRayleighGenerator {
     /// # Panics
     /// Panics if `out.len()` differs from the filter length `M`.
     pub fn fill_spectrum32_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [Complex32]) {
-        let m = self.filter.len();
-        assert_eq!(
-            out.len(),
-            m,
-            "generate_into: buffer length {} does not match IDFT size {m}",
-            out.len()
-        );
+        check_len(out.len(), self.filter.len());
         let std = self.sigma_orig_sq.sqrt();
-        let mut sampler = corrfade_randn::NormalSampler::default();
         for (slot, &f) in out.iter_mut().zip(self.filter.coefficients()) {
-            let a = sampler.sample_with(rng, 0.0, std);
-            let b = sampler.sample_with(rng, 0.0, std);
-            *slot = Complex32::new((f * a) as f32, (-f * b) as f32);
+            let (re, im) = weighted_bin(rng, f, std);
+            *slot = Complex32::new(re as f32, im as f32);
         }
     }
+}
+
+fn check_len(len: usize, m: usize) {
+    assert_eq!(
+        len, m,
+        "generate_into: buffer length {len} does not match IDFT size {m}"
+    );
+}
+
+/// One spectrum bin `F·(A − i·B)` as `(re, im)` from one accepted polar
+/// pair, skipping the polar factor when `F = 0` (the signed-zero argument
+/// is on [`IdftRayleighGenerator::fill_spectrum_into`]).
+#[inline]
+fn weighted_bin<R: Rng + ?Sized>(rng: &mut R, f: f64, std: f64) -> (f64, f64) {
+    let (x, y, s) = polar_disc_pair(rng);
+    if f == 0.0 {
+        return (f * x, -f * y);
+    }
+    let fac = polar_factor(s);
+    let a = 0.0 + std * (x * fac);
+    let b = 0.0 + std * (y * fac);
+    (f * a, -f * b)
 }
 
 #[cfg(test)]
@@ -546,6 +572,79 @@ mod tests {
         );
     }
 
+    /// The spectrum fill as it was before the band-aware rewrite: a fresh
+    /// `NormalSampler` per spectrum, two `N(0, σ²_orig)` draws per bin.
+    fn reference_fill(gen: &IdftRayleighGenerator, rng: &mut RandomStream) -> Vec<(f64, f64)> {
+        let std = gen.sigma_orig_sq().sqrt();
+        let mut sampler = corrfade_randn::NormalSampler::default();
+        gen.filter()
+            .coefficients()
+            .iter()
+            .map(|&f| {
+                let a = sampler.sample_with(rng, 0.0, std);
+                let b = sampler.sample_with(rng, 0.0, std);
+                (f * a, -f * b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn band_aware_fill_matches_the_sampler_reference_bit_for_bit() {
+        use rand::RngCore;
+        // (M, fm, km): paper-like, non-power-of-two, km = 1, 2·km+1 = M − 1.
+        let filters = [
+            (1024usize, 0.05, 51usize),
+            (1000, 0.05, 50),
+            (64, 0.02, 1),
+            (1024, 511.5 / 1024.0, 511),
+        ];
+        let (mut stop_bins, mut neg_zero_re, mut neg_zero_im) = (0usize, 0usize, 0usize);
+        for &(m, fm, km) in &filters {
+            let f = DopplerFilter::new(m, fm).unwrap();
+            assert_eq!(f.km(), km);
+            for &sigma_orig_sq in &[1e-300, 0.5, 1e300] {
+                let gen = IdftRayleighGenerator::new(f.clone(), sigma_orig_sq).unwrap();
+                let ctx = format!("M = {m}, km = {}, σ²_orig = {sigma_orig_sq:e}", f.km());
+                for seed in [5u64, 6] {
+                    let mut ref_rng = RandomStream::new(seed);
+                    let mut rng64 = RandomStream::new(seed);
+                    let mut rng32 = RandomStream::new(seed);
+                    let expected = reference_fill(&gen, &mut ref_rng);
+                    let mut wide = vec![Complex64::ZERO; m];
+                    let mut narrow = vec![Complex32::ZERO; m];
+                    gen.fill_spectrum_into(&mut rng64, &mut wide);
+                    gen.fill_spectrum32_into(&mut rng32, &mut narrow);
+                    for (k, &(re, im)) in expected.iter().enumerate() {
+                        assert_eq!(wide[k].re.to_bits(), re.to_bits(), "{ctx}: re[{k}]");
+                        assert_eq!(wide[k].im.to_bits(), im.to_bits(), "{ctx}: im[{k}]");
+                        assert_eq!(
+                            narrow[k].re.to_bits(),
+                            (re as f32).to_bits(),
+                            "{ctx}: re32[{k}]"
+                        );
+                        assert_eq!(
+                            narrow[k].im.to_bits(),
+                            (im as f32).to_bits(),
+                            "{ctx}: im32[{k}]"
+                        );
+                        if f.coefficients()[k] == 0.0 {
+                            stop_bins += 1;
+                            neg_zero_re += usize::from(re.is_sign_negative());
+                            neg_zero_im += usize::from(im.is_sign_negative());
+                        }
+                    }
+                    let next = ref_rng.next_u64();
+                    assert_eq!(rng64.next_u64(), next, "{ctx}: f64 fill draw count");
+                    assert_eq!(rng32.next_u64(), next, "{ctx}: f32 fill draw count");
+                }
+            }
+        }
+        // The stop band really carries both zero signs, so a fill writing a
+        // plain `+0.0` there would fail above.
+        assert!(neg_zero_re > 0 && neg_zero_re < stop_bins);
+        assert!(neg_zero_im > 0 && neg_zero_im < stop_bins);
+    }
+
     #[test]
     #[should_panic(expected = "does not match IDFT size")]
     fn generate_into_checks_buffer_length() {
@@ -579,5 +678,33 @@ mod tests {
             IdftRayleighGenerator::new(f, 0.0),
             Err(DspError::InvalidVariance { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_or_degenerate_output_variance_is_rejected() {
+        let f = paper_filter();
+        // ∞ would make every sample NaN, f64::MAX overflows σ_g² to ∞ and
+        // 5e-324 underflows it to 0.
+        for bad in [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            5e-324,
+            -0.0,
+        ] {
+            assert!(
+                matches!(
+                    IdftRayleighGenerator::new(f.clone(), bad),
+                    Err(DspError::InvalidVariance { .. })
+                ),
+                "σ²_orig = {bad} must be rejected"
+            );
+        }
+        for good in [1e-300, 0.5, 1e300] {
+            let gen = IdftRayleighGenerator::new(f.clone(), good).unwrap();
+            let v = gen.output_variance();
+            assert!(v.is_finite() && v > 0.0, "σ²_orig = {good}: σ_g² = {v}");
+        }
     }
 }

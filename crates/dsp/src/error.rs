@@ -18,7 +18,8 @@ pub enum DspError {
         /// The supplied normalized Doppler frequency.
         fm: f64,
     },
-    /// A variance parameter is non-positive.
+    /// A variance parameter is non-positive or non-finite, or implies a
+    /// non-finite or zero Eq.-19 output variance.
     InvalidVariance {
         /// The supplied variance.
         value: f64,
@@ -36,7 +37,10 @@ impl fmt::Display for DspError {
                 "normalized Doppler frequency {fm} is invalid: must lie in (0, 0.5) with floor(fm*M) >= 1"
             ),
             DspError::InvalidVariance { value } => {
-                write!(f, "variance must be strictly positive, got {value}")
+                write!(
+                    f,
+                    "variance {value:?} is invalid: it and the output variance it implies must be finite and strictly positive"
+                )
             }
         }
     }

@@ -5,7 +5,8 @@
 //!
 //! * [`RandomStream`] — reproducible, splittable ChaCha20 uniform streams,
 //! * [`NormalSampler`] — `N(0, 1)` via Box–Muller or Marsaglia's polar
-//!   transform,
+//!   transform, the latter also available as its two halves
+//!   ([`polar_disc_pair`], [`polar_factor`]),
 //! * [`ComplexGaussian`] — circularly-symmetric `CN(0, σ²)` variables and the
 //!   `A[k] − i·B[k]` input sequences of the Young–Beaulieu Doppler generator.
 //!
@@ -21,7 +22,7 @@ pub mod normal;
 pub mod streams;
 
 pub use complex_gaussian::ComplexGaussian;
-pub use normal::{NormalMethod, NormalSampler};
+pub use normal::{polar_disc_pair, polar_factor, NormalMethod, NormalSampler};
 pub use streams::RandomStream;
 
 /// Convenience: draws `n` i.i.d. circularly-symmetric complex Gaussian

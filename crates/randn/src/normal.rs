@@ -11,6 +11,19 @@
 //! provided — Box–Muller and Marsaglia's polar method — mostly so the test
 //! suite can cross-validate them against each other; the polar method is the
 //! default because it avoids the trigonometric calls.
+//!
+//! Marsaglia's method is split into its two halves so callers that need
+//! only some of the Gaussians can keep the draws and drop the arithmetic:
+//!
+//! * [`polar_disc_pair`] runs the rejection loop and returns the accepted
+//!   unit-disc candidate `(x, y, s)` — this is all that touches the RNG;
+//! * [`polar_factor`] turns `s` into the factor `sqrt(−2·ln s / s)`, so the
+//!   pair is `(x·fac, y·fac)`.
+//!
+//! [`NormalSampler`] (polar method) is built from exactly these two, so a
+//! caller composing them by hand reproduces its outputs and its draws. The
+//! Doppler spectrum fill uses this to compute the `ln`/`sqrt` only for bins
+//! with a nonzero filter weight.
 
 use rand::Rng;
 
@@ -96,15 +109,35 @@ fn box_muller_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
 
 /// One Marsaglia-polar pair of independent `N(0, 1)` samples.
 fn polar_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    let (x, y, s) = polar_disc_pair(rng);
+    let f = polar_factor(s);
+    (x * f, y * f)
+}
+
+/// The rejection half of Marsaglia's polar method: draws candidates
+/// `x, y = 2·U − 1` until `s = x² + y²` lies in `(0, 1)` and returns the
+/// accepted `(x, y, s)`. Every RNG draw of a polar pair happens here.
+///
+/// `x` and `y` are multiples of `2⁻⁵²` (never `−0.0`), and `s < 1`.
+#[inline]
+pub fn polar_disc_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64, f64) {
     loop {
         let x: f64 = 2.0 * rng.gen::<f64>() - 1.0;
         let y: f64 = 2.0 * rng.gen::<f64>() - 1.0;
         let s = x * x + y * y;
         if s > 0.0 && s < 1.0 {
-            let f = (-2.0 * s.ln() / s).sqrt();
-            return (x * f, y * f);
+            return (x, y, s);
         }
     }
+}
+
+/// The transform half of Marsaglia's polar method: the factor
+/// `sqrt(−2·ln s / s)` that maps an accepted [`polar_disc_pair`] candidate
+/// to the standard-normal pair `(x·fac, y·fac)`. For `s ∈ (0, 1)` it is
+/// finite and at least `2⁻²⁶`.
+#[inline]
+pub fn polar_factor(s: f64) -> f64 {
+    (-2.0 * s.ln() / s).sqrt()
 }
 
 #[cfg(test)]
@@ -188,6 +221,21 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.sample(&mut rng_a), b.sample(&mut rng_b));
         }
+    }
+
+    #[test]
+    fn split_polar_helpers_rebuild_the_sampler_bit_for_bit() {
+        let mut rng_a = StdRng::seed_from_u64(99);
+        let mut rng_b = StdRng::seed_from_u64(99);
+        let mut sampler = NormalSampler::new(NormalMethod::Polar);
+        for _ in 0..1000 {
+            let (x, y, s) = polar_disc_pair(&mut rng_b);
+            assert!(s > 0.0 && s < 1.0);
+            let fac = polar_factor(s);
+            assert_eq!(sampler.sample(&mut rng_a).to_bits(), (x * fac).to_bits());
+            assert_eq!(sampler.sample(&mut rng_a).to_bits(), (y * fac).to_bits());
+        }
+        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 
     #[test]
