@@ -263,8 +263,8 @@ impl IdftRayleighGenerator {
     /// pair `(x, y, s)` ([`polar_disc_pair`]), in bin order, so `A[k]`,
     /// `B[k]` are the two Gaussians of the `k`-th pair a fresh
     /// [`corrfade_randn::NormalSampler`] would return:
-    /// `A = 0 + std·(x·fac)`, `B = 0 + std·(y·fac)` with
-    /// `fac = `[`polar_factor`]`(s)`. In-band bins compute exactly that.
+    /// `A = 0 + std·(x·fac)`, `B = 0 + std·(y·fac)` with `fac` the
+    /// [`polar_factor`] of `s`. In-band bins compute exactly that.
     ///
     /// The polar factor (`ln`, divide, `sqrt`) is computed only where
     /// `F[k] ≠ 0`, with the same bits: for `F[k] = +0` the bin
@@ -339,6 +339,8 @@ fn weighted_bin<R: Rng + ?Sized>(rng: &mut R, f: f64, std: f64) -> (f64, f64) {
         return (f * x, -f * y);
     }
     let fac = polar_factor(s);
+    // `0.0 +` is `NormalSampler::sample_with`'s mean, kept so the
+    // expression is literally the sampler's.
     let a = 0.0 + std * (x * fac);
     let b = 0.0 + std * (y * fac);
     (f * a, -f * b)
