@@ -97,16 +97,6 @@ impl BeaulieuMeraniGenerator {
             .sample_vec(&mut self.rng, self.coloring.rows(), 1.0);
         self.coloring.matvec(&w)
     }
-
-    /// Draws one vector of correlated Rayleigh envelopes.
-    pub fn sample_envelopes(&mut self) -> Vec<f64> {
-        self.sample_gaussian().iter().map(|z| z.abs()).collect()
-    }
-
-    /// Draws `count` snapshots.
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
-    }
 }
 
 impl ChannelStream for BeaulieuMeraniGenerator {
@@ -212,16 +202,6 @@ impl NatarajanGenerator {
             .sample_vec(&mut self.rng, self.coloring.rows(), 1.0);
         self.coloring.matvec(&w)
     }
-
-    /// Draws one vector of correlated Rayleigh envelopes.
-    pub fn sample_envelopes(&mut self) -> Vec<f64> {
-        self.sample_gaussian().iter().map(|z| z.abs()).collect()
-    }
-
-    /// Draws `count` snapshots.
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
-    }
 }
 
 impl ChannelStream for NatarajanGenerator {
@@ -259,10 +239,9 @@ mod tests {
         let k = paper_covariance_matrix_23();
         let mut g = BeaulieuMeraniGenerator::new(&k, 2).unwrap();
         assert_eq!(g.dimension(), 3);
-        let snaps = g.generate_snapshots(60_000);
+        let snaps: Vec<_> = (0..60_000).map(|_| g.sample_gaussian()).collect();
         let khat = sample_covariance(&snaps);
         assert!(relative_frobenius_error(&khat, &k) < 0.04);
-        assert_eq!(g.sample_envelopes().len(), 3);
     }
 
     #[test]
@@ -283,7 +262,7 @@ mod tests {
     fn natarajan_supports_unequal_powers_with_real_covariances() {
         let k = CMatrix::from_real_slice(3, 3, &[2.0, 0.4, 0.1, 0.4, 1.0, 0.3, 0.1, 0.3, 0.5]);
         let mut g = NatarajanGenerator::new(&k, 4).unwrap();
-        let snaps = g.generate_snapshots(60_000);
+        let snaps: Vec<_> = (0..60_000).map(|_| g.sample_gaussian()).collect();
         let khat = sample_covariance(&snaps);
         assert!(relative_frobenius_error(&khat, &k) < 0.04);
     }
@@ -304,7 +283,7 @@ mod tests {
         let k = paper_covariance_matrix_22();
         let mut g = NatarajanGenerator::new_lossy(&k, 7).unwrap();
         assert_eq!(g.dimension(), 3);
-        let snaps = g.generate_snapshots(60_000);
+        let snaps: Vec<_> = (0..60_000).map(|_| g.sample_gaussian()).collect();
         let khat = sample_covariance(&snaps);
         // It converges to Re(K) ...
         assert!(relative_frobenius_error(&khat, g.realified_covariance()) < 0.04);

@@ -115,8 +115,8 @@ impl SalzWintersGenerator {
     }
 
     /// Draws one real `2N` colored embedding vector into the internal
-    /// scratch — the allocation-free primitive behind both the legacy
-    /// sampling methods and the streaming path.
+    /// scratch — the allocation-free primitive behind both
+    /// [`Self::sample_gaussian`] and the streaming path.
     fn draw_embedding(&mut self) {
         let dim = 2 * self.n;
         self.a.resize(dim, 0.0);
@@ -134,16 +134,6 @@ impl SalzWintersGenerator {
         (0..self.n)
             .map(|j| c64(self.c[j], self.c[j + self.n]))
             .collect()
-    }
-
-    /// Draws one vector of correlated Rayleigh envelopes.
-    pub fn sample_envelopes(&mut self) -> Vec<f64> {
-        self.sample_gaussian().iter().map(|z| z.abs()).collect()
-    }
-
-    /// Draws `count` snapshots of the complex Gaussian vector.
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
     }
 }
 
@@ -182,7 +172,7 @@ mod tests {
         for k in [paper_covariance_matrix_22(), paper_covariance_matrix_23()] {
             let mut g = SalzWintersGenerator::new(&k, 5).unwrap();
             assert_eq!(g.dimension(), 3);
-            let snaps = g.generate_snapshots(60_000);
+            let snaps: Vec<_> = (0..60_000).map(|_| g.sample_gaussian()).collect();
             let khat = sample_covariance(&snaps);
             let err = relative_frobenius_error(&khat, &k);
             assert!(err < 0.04, "relative covariance error {err}");
@@ -193,7 +183,7 @@ mod tests {
     fn envelopes_are_rayleigh_distributed() {
         let k = paper_covariance_matrix_23();
         let mut g = SalzWintersGenerator::new(&k, 9).unwrap();
-        let env: Vec<f64> = (0..20_000).map(|_| g.sample_envelopes()[0]).collect();
+        let env: Vec<f64> = (0..20_000).map(|_| g.sample_gaussian()[0].abs()).collect();
         let sigma = corrfade_stats::rayleigh_scale(1.0);
         let t = corrfade_stats::ks_test(&env, |r| corrfade_specfun::rayleigh_cdf(r, sigma));
         assert!(t.passes(0.001), "{t:?}");

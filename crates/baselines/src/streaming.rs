@@ -19,8 +19,7 @@ pub(crate) const SNAPSHOT_STREAM_BLOCK_LEN: usize =
 
 /// Fills `block` with [`SNAPSHOT_STREAM_BLOCK_LEN`] unit-variance snapshots
 /// colored by `coloring`, drawing the white vectors in exactly the order of
-/// the generator's legacy `sample_gaussian` loop (bit-identical for equal
-/// seeds). `w`/`z` are generator-owned scratch vectors; nothing is
+/// the generator's `sample_gaussian` loop (bit-identical for equal seeds). `w`/`z` are generator-owned scratch vectors; nothing is
 /// allocated once they and `block` are warm.
 pub(crate) fn fill_snapshot_block(
     coloring: &CMatrix,

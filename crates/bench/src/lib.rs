@@ -18,7 +18,6 @@ use corrfade_linalg::{CMatrix, Complex64};
 use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
 
 pub mod report;
-pub mod scenarios;
 
 /// The paper's real-time generation settings (Sec. 6): `M = 4096`,
 /// `f_m = 0.05`, `σ²_orig = 1/2`.
@@ -73,18 +72,10 @@ pub fn fig4_envelope_traces(covariance: CMatrix, samples: usize, seed: u64) -> V
         .collect()
 }
 
-/// Concatenates several real-time blocks into per-envelope complex paths —
-/// the raw material for the covariance / autocorrelation measurements of
-/// experiments E3, E4 and E6. One planar block is streamed into repeatedly;
-/// only the concatenated output paths are materialized.
-pub fn realtime_paths(covariance: CMatrix, blocks: usize, seed: u64) -> Vec<Vec<Complex64>> {
-    let mut gen = RealtimeGenerator::new(paper_realtime_config(covariance, seed))
-        .expect("paper configuration is valid");
-    collect_stream_paths(&mut gen, blocks)
-}
-
 /// Drives any [`ChannelStream`] for `blocks` blocks through one pooled
-/// planar buffer and concatenates the per-envelope complex paths.
+/// planar buffer and concatenates the per-envelope complex paths — the raw
+/// material for the autocorrelation measurements of experiments E3, E4 and
+/// E6.
 pub fn collect_stream_paths<S: ChannelStream + ?Sized>(
     stream: &mut S,
     blocks: usize,
@@ -149,14 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn realtime_paths_realize_the_covariance() {
-        let k = reported_spectral_covariance();
-        let paths = realtime_paths(k.clone(), 6, 3);
-        let khat = corrfade_stats::sample_covariance_from_paths(&paths);
-        assert!(relative_frobenius_error(&khat, &k) < 0.15);
-    }
-
-    #[test]
     fn stream_covariance_matches_materialized_paths() {
         let k = reported_spatial_covariance();
         let cfg = paper_realtime_config(k.clone(), 9);
@@ -166,5 +149,6 @@ mod tests {
         let from_paths = corrfade_stats::sample_covariance_from_paths(&paths);
         let streamed = stream_covariance(&mut b, 4);
         assert!(streamed.approx_eq(&from_paths, 1e-10));
+        assert!(relative_frobenius_error(&streamed, &k) < 0.15);
     }
 }

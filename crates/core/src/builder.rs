@@ -364,13 +364,15 @@ mod tests {
                 actual: 2
             })
         ));
-        assert!(matches!(
-            GeneratorBuilder::new()
-                .covariance(paper_covariance_matrix_22())
-                .driving_variance(-1.0)
-                .build(),
-            Err(CorrfadeError::InvalidDrivingVariance { .. })
-        ));
+        for variance in [-1.0, f64::INFINITY, 5e-324] {
+            assert!(matches!(
+                GeneratorBuilder::new()
+                    .covariance(paper_covariance_matrix_22())
+                    .driving_variance(variance)
+                    .build(),
+                Err(CorrfadeError::InvalidDrivingVariance { .. })
+            ));
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub enum CorrfadeError {
     /// The generator was asked for zero envelopes.
     EmptyCovariance,
     /// The driving variance `σ_g²` of the white Gaussian vector `W` must be
-    /// strictly positive.
+    /// finite and strictly positive, and so must the standard deviation
+    /// and the `1/σ_g` scale derived from it.
     InvalidDrivingVariance {
         /// The supplied variance.
         value: f64,
@@ -71,7 +72,7 @@ impl fmt::Display for CorrfadeError {
             ),
             CorrfadeError::EmptyCovariance => write!(f, "covariance matrix must have at least one envelope"),
             CorrfadeError::InvalidDrivingVariance { value } => {
-                write!(f, "driving variance must be strictly positive, got {value}")
+                write!(f, "driving variance must be finite and strictly positive, got {value}")
             }
             CorrfadeError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             CorrfadeError::Dsp(e) => write!(f, "DSP error: {e}"),

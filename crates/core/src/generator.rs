@@ -62,8 +62,8 @@ pub struct CorrelatedRayleighGenerator {
     stream_block_len: usize,
     /// Per-snapshot white vector `W` scratch.
     w: Vec<Complex64>,
-    /// Per-snapshot colored vector `Z` scratch (streaming path only; the
-    /// legacy sampling methods write into caller-owned buffers).
+    /// Per-snapshot colored vector `Z` scratch (streaming path only;
+    /// [`Self::sample_gaussian_into`] writes into the caller's buffer).
     z: Vec<Complex64>,
 }
 
@@ -75,9 +75,8 @@ impl CorrelatedRayleighGenerator {
     }
 
     /// Creates a generator with an explicit driving variance `σ_g²` for the
-    /// white vector `W` (the result is invariant to this choice; it exists so
-    /// the real-time algorithm can pass the Doppler-filtered variance of
-    /// Eq. 19 through the identical code path).
+    /// white vector `W` (the result is invariant to this choice, which is
+    /// what step 7's division by `σ_g` buys).
     pub fn with_driving_variance(
         covariance: CMatrix,
         driving_variance: f64,
@@ -87,15 +86,26 @@ impl CorrelatedRayleighGenerator {
         Self::from_coloring(coloring, covariance, driving_variance, seed)
     }
 
-    /// Assembles a generator from a precomputed coloring (used by the builder
-    /// and the real-time generator to avoid re-decomposing).
+    /// Assembles a generator from a precomputed coloring (used by the
+    /// parallel engine, which takes it from the decomposition cache, to
+    /// avoid re-decomposing).
+    ///
+    /// # Errors
+    /// [`CorrfadeError::InvalidDrivingVariance`] unless `σ_g²` is finite and
+    /// both values derived from it are finite and positive: the
+    /// per-component standard deviation `√(σ_g²/2)` of `W` and the step-7
+    /// scale `1/σ_g`. An infinite `σ_g²` would make every sample NaN, and a
+    /// subnormal one that halves to zero every sample `0`.
     pub fn from_coloring(
         coloring: Coloring,
         desired: CMatrix,
         driving_variance: f64,
         seed: u64,
     ) -> Result<Self, CorrfadeError> {
-        if driving_variance <= 0.0 || driving_variance.is_nan() {
+        let std = (driving_variance * 0.5).sqrt();
+        let scale = 1.0 / driving_variance.sqrt();
+        let positive_finite = |x: f64| x.is_finite() && x > 0.0;
+        if !(driving_variance.is_finite() && positive_finite(std) && positive_finite(scale)) {
             return Err(CorrfadeError::InvalidDrivingVariance {
                 value: driving_variance,
             });
@@ -165,39 +175,10 @@ impl CorrelatedRayleighGenerator {
         self.driving_variance
     }
 
-    /// Colors an externally supplied white complex Gaussian vector of
-    /// variance `w_variance`: `Z = L·W/σ_g` (step 7). This is the entry point
-    /// the real-time algorithm uses with the Doppler-filtered samples and the
-    /// Eq.-19 variance.
-    ///
-    /// # Panics
-    /// Panics if `w.len()` differs from the generator dimension or
-    /// `w_variance` is not strictly positive.
-    pub fn color(&self, w: &[Complex64], w_variance: f64) -> Vec<Complex64> {
-        assert_eq!(
-            w.len(),
-            self.dimension(),
-            "color: expected a vector of length {}, got {}",
-            self.dimension(),
-            w.len()
-        );
-        assert!(
-            w_variance > 0.0,
-            "color: variance must be strictly positive"
-        );
-        let scale = 1.0 / w_variance.sqrt();
-        self.coloring
-            .matrix
-            .matvec(w)
-            .into_iter()
-            .map(|z| z.scale(scale))
-            .collect()
-    }
-
     /// Draws the next correlated complex Gaussian vector `Z` (step 6 + 7)
     /// into a caller-owned buffer, using only internal scratch — the
-    /// allocation-free primitive behind both the legacy sampling methods and
-    /// the [`ChannelStream`] implementation.
+    /// allocation-free primitive behind [`Self::sample_gaussian`] and
+    /// [`Self::sample`].
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the generator dimension.
@@ -238,27 +219,6 @@ impl CorrelatedRayleighGenerator {
             gaussian,
             envelopes,
         }
-    }
-
-    /// Draws `count` independent snapshots (each a length-`N` vector `Z`).
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
-    }
-
-    /// Draws `count` independent time samples and returns them as `N`
-    /// envelope paths of length `count` (the layout of the paper's Fig. 4
-    /// plots).
-    pub fn generate_envelope_paths(&mut self, count: usize) -> Vec<Vec<f64>> {
-        let n = self.dimension();
-        let mut z = vec![Complex64::ZERO; n];
-        let mut paths = vec![Vec::with_capacity(count); n];
-        for _ in 0..count {
-            self.sample_gaussian_into(&mut z);
-            for (j, path) in paths.iter_mut().enumerate() {
-                path.push(z[j].abs());
-            }
-        }
-        paths
     }
 }
 
@@ -307,7 +267,17 @@ mod tests {
     use super::*;
     use corrfade_linalg::c64;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
-    use corrfade_stats::{relative_frobenius_error, sample_covariance};
+    use corrfade_stats::{relative_frobenius_error, sample_covariance_from_block};
+
+    /// `count` snapshots streamed as one block: sample `l` is the `l`-th
+    /// [`CorrelatedRayleighGenerator::sample_gaussian`] draw.
+    fn snapshot_block(k: CMatrix, driving_variance: f64, seed: u64, count: usize) -> SampleBlock {
+        CorrelatedRayleighGenerator::with_driving_variance(k, driving_variance, seed)
+            .unwrap()
+            .with_stream_block_len(count)
+            .next_block()
+            .unwrap()
+    }
 
     #[test]
     fn basic_accessors() {
@@ -346,9 +316,7 @@ mod tests {
     fn sample_covariance_converges_to_desired_covariance() {
         // The central claim of Sec. 4.5: E[Z Z^H] = K.
         let k = paper_covariance_matrix_22();
-        let mut g = CorrelatedRayleighGenerator::new(k.clone(), 7).unwrap();
-        let snaps = g.generate_snapshots(60_000);
-        let khat = sample_covariance(&snaps);
+        let khat = sample_covariance_from_block(&snapshot_block(k.clone(), 1.0, 7, 60_000));
         let err = relative_frobenius_error(&khat, &k);
         assert!(err < 0.03, "relative covariance error {err}");
     }
@@ -358,10 +326,7 @@ mod tests {
         // E[Z Z^H] = K for any σ_g² of the white vector W.
         let k = paper_covariance_matrix_23();
         for &var in &[0.1, 1.0, 17.0] {
-            let mut g =
-                CorrelatedRayleighGenerator::with_driving_variance(k.clone(), var, 11).unwrap();
-            let snaps = g.generate_snapshots(40_000);
-            let khat = sample_covariance(&snaps);
+            let khat = sample_covariance_from_block(&snapshot_block(k.clone(), var, 11, 40_000));
             let err = relative_frobenius_error(&khat, &k);
             assert!(err < 0.04, "driving variance {var}: relative error {err}");
         }
@@ -375,10 +340,9 @@ mod tests {
             vec![c64(0.5, -0.5), c64(4.0, 0.0), c64(0.2, -0.3)],
             vec![c64(0.1, 0.0), c64(0.2, 0.3), c64(0.25, 0.0)],
         ]);
-        let mut g = CorrelatedRayleighGenerator::new(k.clone(), 3).unwrap();
-        let paths = g.generate_envelope_paths(50_000);
-        for (j, path) in paths.iter().enumerate() {
-            let power = corrfade_stats::mean_square(path);
+        let mut block = snapshot_block(k.clone(), 1.0, 3, 50_000);
+        for j in 0..3 {
+            let power = corrfade_stats::mean_square(block.envelope_path(j));
             let expected = k[(j, j)].re;
             assert!(
                 (power - expected).abs() / expected < 0.05,
@@ -390,10 +354,9 @@ mod tests {
     #[test]
     fn envelope_moments_match_paper_eq_14_15() {
         let k = paper_covariance_matrix_22();
-        let mut g = CorrelatedRayleighGenerator::new(k, 5).unwrap();
-        let paths = g.generate_envelope_paths(60_000);
-        for path in &paths {
-            let check = corrfade_stats::check_envelope_moments(path, 1.0);
+        let mut block = snapshot_block(k, 1.0, 5, 60_000);
+        for j in 0..3 {
+            let check = corrfade_stats::check_envelope_moments(block.envelope_path(j), 1.0);
             assert!(
                 check.max_relative_error() < 0.05,
                 "envelope moments deviate: {check:?}"
@@ -404,9 +367,9 @@ mod tests {
     #[test]
     fn generated_envelopes_pass_rayleigh_ks_test() {
         let k = paper_covariance_matrix_23();
-        let mut g = CorrelatedRayleighGenerator::new(k, 13).unwrap();
-        let paths = g.generate_envelope_paths(20_000);
-        for path in &paths {
+        let mut block = snapshot_block(k, 1.0, 13, 20_000);
+        for j in 0..3 {
+            let path = block.envelope_path(j);
             let sigma = corrfade_stats::rayleigh_scale(1.0);
             let t = corrfade_stats::ks_test(path, |r| corrfade_specfun::rayleigh_cdf(r, sigma));
             assert!(
@@ -419,11 +382,12 @@ mod tests {
     #[test]
     fn indefinite_covariance_realizes_its_psd_projection() {
         let k = CMatrix::from_real_slice(3, 3, &[1.0, 0.9, -0.9, 0.9, 1.0, 0.9, -0.9, 0.9, 1.0]);
-        let mut g = CorrelatedRayleighGenerator::new(k.clone(), 21).unwrap();
+        let mut g = CorrelatedRayleighGenerator::new(k.clone(), 21)
+            .unwrap()
+            .with_stream_block_len(60_000);
         assert!(g.coloring().psd.clipped_count > 0);
         let forced = g.realized_covariance();
-        let snaps = g.generate_snapshots(60_000);
-        let khat = sample_covariance(&snaps);
+        let khat = sample_covariance_from_block(&g.next_block().unwrap());
         // Converges to the forced matrix, not (and necessarily not) to K.
         assert!(relative_frobenius_error(&khat, &forced) < 0.03);
         assert!(relative_frobenius_error(&forced, &k) > 0.01);
@@ -437,7 +401,7 @@ mod tests {
             .unwrap()
             .with_stream_block_len(17);
         assert_eq!(ChannelStream::block_len(&stream), 17);
-        let snaps = snap.generate_snapshots(2 * 17);
+        let snaps: Vec<_> = (0..2 * 17).map(|_| snap.sample_gaussian()).collect();
         let mut block = SampleBlock::empty();
         for b in 0..2 {
             stream.next_block_into(&mut block).unwrap();
@@ -458,17 +422,56 @@ mod tests {
 
     #[test]
     fn invalid_driving_variance_rejected() {
+        // An infinite σ_g² would make every sample NaN, and 5e-324 (which
+        // halves to a zero component variance) every sample 0.
         let k = paper_covariance_matrix_22();
-        assert!(matches!(
-            CorrelatedRayleighGenerator::with_driving_variance(k, 0.0, 1),
-            Err(CorrfadeError::InvalidDrivingVariance { .. })
-        ));
+        for value in [
+            0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+        ] {
+            assert!(
+                matches!(
+                    CorrelatedRayleighGenerator::with_driving_variance(k.clone(), value, 1),
+                    Err(CorrfadeError::InvalidDrivingVariance { .. })
+                ),
+                "σ_g² = {value:e} must be rejected"
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "expected a vector of length")]
-    fn color_checks_dimension() {
-        let g = CorrelatedRayleighGenerator::new(paper_covariance_matrix_22(), 1).unwrap();
-        let _ = g.color(&[Complex64::ZERO], 1.0);
+    fn driving_variance_sweep_gives_an_error_or_a_finite_nonzero_block() {
+        let k = paper_covariance_matrix_22();
+        let sweep = (-300..=300).map(|e| 10f64.powi(e)).chain([
+            5e-324,
+            1e-323,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+        ]);
+        for value in sweep {
+            match CorrelatedRayleighGenerator::with_driving_variance(k.clone(), value, 1) {
+                Err(e) => assert!(
+                    matches!(e, CorrfadeError::InvalidDrivingVariance { .. }),
+                    "σ_g² = {value:e}: {e}"
+                ),
+                Ok(g) => {
+                    let block = g.with_stream_block_len(64).next_block().unwrap();
+                    let data = block.as_slice();
+                    assert!(
+                        data.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
+                        "σ_g² = {value:e}: non-finite sample"
+                    );
+                    assert!(
+                        data.iter().any(|z| z.abs() > 0.0),
+                        "σ_g² = {value:e}: all-zero block"
+                    );
+                }
+            }
+        }
     }
 }

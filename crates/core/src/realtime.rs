@@ -21,7 +21,7 @@
 //! (ref. \[6\]) that makes the realized covariance equal the desired one. The
 //! flawed variant is reproduced in `corrfade-baselines` for the E8 ablation.
 
-use corrfade_dsp::{DopplerFilter, IdftRayleighGenerator};
+use corrfade_dsp::{DopplerFilter, DspError, IdftRayleighGenerator};
 use corrfade_linalg::{CMatrix, Complex32, Complex64, Precision, SampleBlock, SampleBlock32};
 use corrfade_randn::RandomStream;
 
@@ -73,30 +73,6 @@ impl RealtimeConfig {
     }
 }
 
-/// One generated block: `N` correlated fading processes observed over `M`
-/// consecutive time samples.
-#[derive(Debug, Clone)]
-pub struct RealtimeBlock {
-    /// `gaussian_paths[j][l]` — complex Gaussian sample of envelope `j` at
-    /// time instant `l`.
-    pub gaussian_paths: Vec<Vec<Complex64>>,
-    /// `envelope_paths[j][l] = |gaussian_paths[j][l]|` — the Rayleigh
-    /// envelopes.
-    pub envelope_paths: Vec<Vec<f64>>,
-}
-
-impl RealtimeBlock {
-    /// Number of envelopes `N`.
-    pub fn envelopes(&self) -> usize {
-        self.gaussian_paths.len()
-    }
-
-    /// Number of time samples `M`.
-    pub fn samples(&self) -> usize {
-        self.gaussian_paths.first().map_or(0, Vec::len)
-    }
-}
-
 /// Generator of `N` correlated, Doppler-band-limited Rayleigh fading
 /// processes (paper Fig. 3).
 ///
@@ -104,9 +80,7 @@ impl RealtimeBlock {
 /// writes `Z[l] = L·W[l]/σ_g` directly into a caller-owned planar
 /// [`SampleBlock`] and keeps all working memory (the `N × M` Doppler
 /// scratch, the per-instant `W`/`Z` vectors) inside the generator — zero
-/// heap allocation per block in steady state. [`Self::generate_block`] and
-/// [`Self::generate_blocks`] remain as thin compatibility wrappers that
-/// materialize the legacy [`RealtimeBlock`] layout.
+/// heap allocation per block in steady state.
 #[derive(Debug, Clone)]
 pub struct RealtimeGenerator {
     coloring: Coloring,
@@ -143,14 +117,23 @@ impl RealtimeGenerator {
 
     /// Assembles a generator from a precomputed coloring of
     /// `config.covariance` — lets callers that spin up many generators for
-    /// the same covariance matrix (e.g. the parallel engine, one RNG
-    /// sub-stream per block) pay for the eigendecomposition once.
+    /// the same covariance matrix (e.g. the scenario registry's cached
+    /// build, one per network link group) pay for the eigendecomposition
+    /// once.
+    ///
+    /// # Errors
+    /// Filter-design and `σ²_orig` errors as [`CorrfadeError::Dsp`]; in the
+    /// f32 tier also a `σ²_orig` that would take the spectrum, the transform
+    /// or the coloring scale out of the f32 range.
     pub fn from_coloring(
         coloring: Coloring,
         config: RealtimeConfig,
     ) -> Result<Self, CorrfadeError> {
         let filter = DopplerFilter::new(config.idft_size, config.normalized_doppler)?;
         let idft = IdftRayleighGenerator::new(filter, config.sigma_orig_sq)?;
+        if config.precision == Precision::F32 {
+            check_f32_range(&idft)?;
+        }
         let sigma_g_sq = idft.output_variance();
         let coloring32 = coloring
             .matrix
@@ -352,48 +335,56 @@ impl RealtimeGenerator {
             }
         }
     }
+}
 
-    /// Generates one block of `M` consecutive time samples of all `N`
-    /// correlated fading processes.
-    ///
-    /// Compatibility wrapper over the streaming path: allocates the legacy
-    /// per-envelope `Vec`s on every call. Prefer
-    /// [`ChannelStream::next_block_into`] with a pooled [`SampleBlock`] on
-    /// hot paths.
-    pub fn generate_block(&mut self) -> RealtimeBlock {
-        let mut block = SampleBlock::empty();
-        self.fill_block(&mut block);
-        RealtimeBlock {
-            gaussian_paths: block.to_paths(),
-            envelope_paths: block.to_envelope_paths(),
-        }
-    }
+/// Largest modulus `|A − i·B|` of one spectrum bin's Gaussian pair before
+/// the `σ_orig` and `F[k]` weights, rounded up. A Marsaglia polar pair has
+/// modulus `√(−2·ln s)`, and the accepted `s = x² + y²` is a nonzero
+/// multiple of `2⁻¹⁰⁴` (`x`, `y` are multiples of `2⁻⁵²`), so the modulus
+/// is at most `√(208·ln 2) ≈ 12.01`. The rest is headroom for f32
+/// rounding in the butterflies.
+const F32_PAIR_MODULUS_BOUND: f64 = 16.0;
 
-    /// Generates `blocks` consecutive blocks and concatenates them per
-    /// envelope (convenience for long Monte-Carlo runs).
-    ///
-    /// Compatibility wrapper over the streaming path; one internal
-    /// [`SampleBlock`] is reused across all blocks and each block's lazily
-    /// computed envelopes are appended directly — the envelopes are not
-    /// recomputed over the concatenated paths.
-    pub fn generate_blocks(&mut self, blocks: usize) -> RealtimeBlock {
-        let n = self.dimension();
-        let mut gaussian_paths: Vec<Vec<Complex64>> = vec![Vec::new(); n];
-        let mut envelope_paths: Vec<Vec<f64>> = vec![Vec::new(); n];
-        let mut block = SampleBlock::empty();
-        for _ in 0..blocks {
-            self.fill_block(&mut block);
-            for (j, path) in gaussian_paths.iter_mut().enumerate() {
-                path.extend_from_slice(block.path(j));
-            }
-            for (j, path) in envelope_paths.iter_mut().enumerate() {
-                path.extend_from_slice(block.envelope_path(j));
-            }
-        }
-        RealtimeBlock {
-            gaussian_paths,
-            envelope_paths,
-        }
+/// The `σ²_orig` range in which an f32-tier block stays finite and keeps
+/// f32 precision. The realized covariance does not depend on `σ²_orig`, but
+/// every f32 value ahead of the coloring scales with `σ_orig = √σ²_orig`:
+///
+/// * **spectrum:** bin `k` is `F[k]·σ_orig·(A − i·B)`, narrowed to f32, of
+///   modulus at most `G·σ_orig·F[k]` with `G` =
+///   [`F32_PAIR_MODULUS_BOUND`];
+/// * **transform:** every butterfly value is a sum of bins times
+///   unit-modulus twiddles, so it is at most `G·σ_orig·Σ_k F[k]`; the
+///   final stage's `1/M` brings the output to the scale `σ_g` of Eq. 19;
+/// * **scale:** the coloring multiplies by `1/σ_g`, narrowed to f32.
+///
+/// Upper bound: `G·σ_orig·Σ F[k] ≤ f32::MAX`, so no bin and no butterfly
+/// value can overflow — a worst case over all draws, so it rejects some
+/// `σ²_orig` whose blocks would almost surely be finite (fig4a settings:
+/// `1e69` passes, `1e70` does not). Lower bound: `σ_g` and the smallest
+/// in-band bin scale `σ_orig·min F[k]` are at least `f32::MIN_POSITIVE`,
+/// so the typical output and spectrum values are normal f32 numbers (a
+/// value lost to underflow is below one ulp of them) and `1/σ_g` is
+/// finite. Outside the range — for example `σ²_orig = 1e74` or `1e-74` at
+/// fig4a settings — a block would hold NaN or infinite samples.
+fn check_f32_range(idft: &IdftRayleighGenerator) -> Result<(), CorrfadeError> {
+    let sigma_orig = idft.sigma_orig_sq().sqrt();
+    let coeffs = idft.filter().coefficients();
+    let sum_f: f64 = coeffs.iter().sum();
+    let min_f = coeffs
+        .iter()
+        .copied()
+        .filter(|&f| f > 0.0)
+        .fold(f64::INFINITY, f64::min);
+    let (max32, min32) = (f64::from(f32::MAX), f64::from(f32::MIN_POSITIVE));
+    let fits = F32_PAIR_MODULUS_BOUND * sigma_orig * sum_f <= max32
+        && sigma_orig * min_f >= min32
+        && idft.output_variance().sqrt() >= min32;
+    if fits {
+        Ok(())
+    } else {
+        Err(CorrfadeError::Dsp(DspError::InvalidVariance {
+            value: idft.sigma_orig_sq(),
+        }))
     }
 }
 
@@ -416,9 +407,7 @@ impl ChannelStream for RealtimeGenerator {
 mod tests {
     use super::*;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
-    use corrfade_stats::{
-        normalized_autocorrelation, relative_frobenius_error, sample_covariance_from_paths,
-    };
+    use corrfade_stats::{normalized_autocorrelation, relative_frobenius_error};
 
     fn small_config(k: CMatrix, seed: u64) -> RealtimeConfig {
         // Smaller M than the paper to keep unit tests quick; the benches use
@@ -431,6 +420,18 @@ mod tests {
             seed,
             precision: Precision::F64,
         }
+    }
+
+    /// Sample covariance over `blocks` consecutive streamed blocks.
+    fn streamed_covariance(g: &mut RealtimeGenerator, blocks: usize) -> CMatrix {
+        let n = g.dimension();
+        let mut acc = CMatrix::zeros(n, n);
+        let mut block = SampleBlock::empty();
+        for _ in 0..blocks {
+            g.next_block_into(&mut block).unwrap();
+            block.accumulate_covariance(&mut acc);
+        }
+        acc.scale_real(1.0 / (blocks * g.block_len()) as f64)
     }
 
     #[test]
@@ -449,12 +450,12 @@ mod tests {
     #[test]
     fn block_shape() {
         let mut g = RealtimeGenerator::new(small_config(paper_covariance_matrix_23(), 3)).unwrap();
-        let b = g.generate_block();
+        let mut b = g.next_block().unwrap();
         assert_eq!(b.envelopes(), 3);
         assert_eq!(b.samples(), 1024);
         for j in 0..3 {
-            assert_eq!(b.gaussian_paths[j].len(), 1024);
-            for (z, &r) in b.gaussian_paths[j].iter().zip(b.envelope_paths[j].iter()) {
+            let envelopes = b.envelope_path(j).to_vec();
+            for (z, &r) in b.path(j).iter().zip(envelopes.iter()) {
                 assert!((z.abs() - r).abs() < 1e-15);
             }
         }
@@ -467,8 +468,7 @@ mod tests {
         // the desired Eq.-22 matrix.
         let k = paper_covariance_matrix_22();
         let mut g = RealtimeGenerator::new(small_config(k.clone(), 17)).unwrap();
-        let block = g.generate_blocks(40);
-        let khat = sample_covariance_from_paths(&block.gaussian_paths);
+        let khat = streamed_covariance(&mut g, 40);
         let err = relative_frobenius_error(&khat, &k);
         assert!(err < 0.08, "relative covariance error {err}");
     }
@@ -477,8 +477,7 @@ mod tests {
     fn realized_covariance_matches_desired_spatial_case() {
         let k = paper_covariance_matrix_23();
         let mut g = RealtimeGenerator::new(small_config(k.clone(), 29)).unwrap();
-        let block = g.generate_blocks(40);
-        let khat = sample_covariance_from_paths(&block.gaussian_paths);
+        let khat = streamed_covariance(&mut g, 40);
         let err = relative_frobenius_error(&khat, &k);
         assert!(err < 0.08, "relative covariance error {err}");
     }
@@ -492,10 +491,11 @@ mod tests {
         let target = g.filter().normalized_autocorrelation(40);
         let mut acc = vec![0.0f64; 41];
         let runs = 30;
+        let mut block = SampleBlock::empty();
         for _ in 0..runs {
-            let block = g.generate_block();
-            for path in &block.gaussian_paths {
-                let rho = normalized_autocorrelation(path, 40);
+            g.next_block_into(&mut block).unwrap();
+            for j in 0..3 {
+                let rho = normalized_autocorrelation(block.path(j), 40);
                 for (a, r) in acc.iter_mut().zip(rho.iter()) {
                     *a += r;
                 }
@@ -518,8 +518,15 @@ mod tests {
     fn envelopes_are_rayleigh() {
         let k = paper_covariance_matrix_22();
         let mut g = RealtimeGenerator::new(small_config(k, 53)).unwrap();
-        let block = g.generate_blocks(20);
-        for path in &block.envelope_paths {
+        let mut paths = vec![Vec::new(); 3];
+        let mut block = SampleBlock::empty();
+        for _ in 0..20 {
+            g.next_block_into(&mut block).unwrap();
+            for (j, path) in paths.iter_mut().enumerate() {
+                path.extend_from_slice(block.envelope_path(j));
+            }
+        }
+        for path in &paths {
             let sigma = corrfade_stats::rayleigh_scale(1.0);
             let t = corrfade_stats::ks_test(path, |r| corrfade_specfun::rayleigh_cdf(r, sigma));
             // The samples are correlated in time, which weakens the KS test's
@@ -540,38 +547,12 @@ mod tests {
                 ..small_config(k.clone(), 61)
             };
             let mut g = RealtimeGenerator::new(cfg).unwrap();
-            let block = g.generate_blocks(30);
-            let khat = sample_covariance_from_paths(&block.gaussian_paths);
+            let khat = streamed_covariance(&mut g, 30);
             let err = relative_frobenius_error(&khat, &k);
             assert!(
                 err < 0.09,
                 "sigma_orig_sq {sigma_orig_sq}: relative covariance error {err}"
             );
-        }
-    }
-
-    #[test]
-    fn streaming_is_bit_identical_to_legacy_wrappers() {
-        let k = paper_covariance_matrix_22();
-        let mut legacy = RealtimeGenerator::new(small_config(k.clone(), 77)).unwrap();
-        let mut streaming = RealtimeGenerator::new(small_config(k, 77)).unwrap();
-        let reference = legacy.generate_blocks(3);
-        let mut block = SampleBlock::empty();
-        let mut offset = 0;
-        for _ in 0..3 {
-            streaming.next_block_into(&mut block).unwrap();
-            let m = block.samples();
-            for j in 0..3 {
-                assert_eq!(
-                    &reference.gaussian_paths[j][offset..offset + m],
-                    block.path(j)
-                );
-                assert_eq!(
-                    &reference.envelope_paths[j][offset..offset + m],
-                    block.envelope_path(j)
-                );
-            }
-            offset += m;
         }
     }
 
@@ -619,23 +600,17 @@ mod tests {
         let mut untouched = RealtimeGenerator::new(small_config(k.clone(), 9)).unwrap();
         let mut noop = RealtimeGenerator::new(small_config(k, 9)).unwrap();
         noop.skip_blocks(0);
-        assert_eq!(
-            untouched.generate_block().gaussian_paths,
-            noop.generate_block().gaussian_paths
-        );
+        assert_eq!(untouched.next_block().unwrap(), noop.next_block().unwrap());
     }
 
     #[test]
     fn reseeded_matches_fresh_generator() {
         let k = paper_covariance_matrix_23();
         let mut used = RealtimeGenerator::new(small_config(k.clone(), 5)).unwrap();
-        let _ = used.generate_block(); // advance the RNG
+        let _ = used.next_block().unwrap(); // advance the RNG
         let mut reseeded = used.reseeded(9);
         let mut fresh = RealtimeGenerator::new(small_config(k, 9)).unwrap();
-        assert_eq!(
-            reseeded.generate_block().gaussian_paths,
-            fresh.generate_block().gaussian_paths
-        );
+        assert_eq!(reseeded.next_block().unwrap(), fresh.next_block().unwrap());
     }
 
     #[test]
@@ -644,10 +619,7 @@ mod tests {
         let coloring = crate::coloring::eigen_coloring(&k).unwrap();
         let mut a = RealtimeGenerator::from_coloring(coloring, small_config(k.clone(), 3)).unwrap();
         let mut b = RealtimeGenerator::new(small_config(k, 3)).unwrap();
-        assert_eq!(
-            a.generate_block().gaussian_paths,
-            b.generate_block().gaussian_paths
-        );
+        assert_eq!(a.next_block().unwrap(), b.next_block().unwrap());
     }
 
     #[test]
@@ -737,6 +709,23 @@ mod tests {
                 "σ²_orig = {sigma_orig_sq} must be rejected"
             );
         }
+        // The f32 tier also rejects a σ²_orig that takes the spectrum, the
+        // transform or the scale out of the f32 range; at fig4a settings
+        // each of these would give NaN or infinite samples.
+        for sigma_orig_sq in [1e74, 1e-74, 1e76, 1e-76, 1e300, 1e-300] {
+            let cfg = RealtimeConfig {
+                sigma_orig_sq,
+                precision: Precision::F32,
+                ..RealtimeConfig::paper_defaults(k.clone(), 1)
+            };
+            assert!(
+                matches!(
+                    RealtimeGenerator::new(cfg),
+                    Err(CorrfadeError::Dsp(DspError::InvalidVariance { .. }))
+                ),
+                "f32 tier must reject σ²_orig = {sigma_orig_sq:e}"
+            );
+        }
         let bad_cov = RealtimeConfig {
             covariance: CMatrix::zeros(2, 3),
             ..small_config(k, 1)
@@ -745,5 +734,36 @@ mod tests {
             RealtimeGenerator::new(bad_cov),
             Err(CorrfadeError::NotSquare { .. })
         ));
+    }
+
+    #[test]
+    fn f32_sigma_orig_sweep_gives_an_error_or_a_finite_nonzero_block() {
+        for idft_size in [4096, 64] {
+            for e in -300..=300 {
+                let sigma_orig_sq = 10f64.powi(e);
+                let cfg = RealtimeConfig {
+                    idft_size,
+                    sigma_orig_sq,
+                    precision: Precision::F32,
+                    ..RealtimeConfig::paper_defaults(paper_covariance_matrix_22(), 7)
+                };
+                let ctx = format!("M = {idft_size}, σ²_orig = {sigma_orig_sq:e}");
+                match RealtimeGenerator::new(cfg) {
+                    Err(e) => assert!(
+                        matches!(e, CorrfadeError::Dsp(DspError::InvalidVariance { .. })),
+                        "{ctx}: {e}"
+                    ),
+                    Ok(mut g) => {
+                        let block = g.next_block().unwrap();
+                        let data = block.as_slice();
+                        assert!(
+                            data.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
+                            "{ctx}: non-finite sample"
+                        );
+                        assert!(data.iter().any(|z| z.abs() > 0.0), "{ctx}: all-zero block");
+                    }
+                }
+            }
+        }
     }
 }

@@ -10,10 +10,20 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use corrfade_parallel::{generate_snapshots, generate_snapshots_on, ParallelConfig, Runtime};
+use corrfade_parallel::{monte_carlo_covariance_on, ParallelConfig, Runtime};
 
 fn paper_k() -> corrfade_linalg::CMatrix {
     corrfade_models::paper_covariance_matrix_22()
+}
+
+/// The bits of a pooled covariance estimate.
+fn estimate(rt: &Runtime, total: usize, cfg: &ParallelConfig) -> Vec<u64> {
+    monte_carlo_covariance_on(rt, &paper_k(), total, cfg)
+        .unwrap()
+        .as_slice()
+        .iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .collect()
 }
 
 #[test]
@@ -73,40 +83,32 @@ fn dropping_an_explicit_pool_shuts_down_cleanly() {
 #[test]
 fn pool_reuse_across_many_calls_is_deterministic() {
     // The same pool answering a stream of requests must produce exactly the
-    // same ensembles as fresh pools and as the global pool — reuse cannot
+    // same estimates as fresh pools and as the global pool — reuse cannot
     // leak state between calls.
-    let k = paper_k();
     let cfg = ParallelConfig {
         threads: 2,
         chunk_size: 128,
         seed: 99,
     };
     let reused = Runtime::new(2);
-    let first = generate_snapshots_on(&reused, &k, 600, &cfg).unwrap();
+    let first = estimate(&reused, 600, &cfg);
     for _ in 0..3 {
-        assert_eq!(
-            first,
-            generate_snapshots_on(&reused, &k, 600, &cfg).unwrap()
-        );
+        assert_eq!(first, estimate(&reused, 600, &cfg));
     }
-    let fresh = Runtime::new(4);
-    assert_eq!(first, generate_snapshots_on(&fresh, &k, 600, &cfg).unwrap());
-    assert_eq!(first, generate_snapshots(&k, 600, &cfg).unwrap());
+    assert_eq!(first, estimate(&Runtime::new(4), 600, &cfg));
+    assert_eq!(first, estimate(Runtime::global(), 600, &cfg));
 }
 
 #[test]
 fn pools_of_different_sizes_agree() {
-    let k = paper_k();
     let cfg = ParallelConfig {
         threads: 0,
         chunk_size: 256,
         seed: 7,
     };
-    let small = Runtime::new(1);
-    let large = Runtime::new(4);
     assert_eq!(
-        generate_snapshots_on(&small, &k, 1500, &cfg).unwrap(),
-        generate_snapshots_on(&large, &k, 1500, &cfg).unwrap(),
-        "worker count must never influence the ensemble"
+        estimate(&Runtime::new(1), 1500, &cfg),
+        estimate(&Runtime::new(4), 1500, &cfg),
+        "worker count must never influence the estimate"
     );
 }

@@ -70,9 +70,6 @@ pub const VERSION_V1: u16 = 1;
 /// [`code::BUSY`] error frame under admission control.
 pub const VERSION_V2: u16 = 2;
 
-/// Baseline protocol version (compatibility alias for [`VERSION_V1`]).
-pub const VERSION: u16 = VERSION_V1;
-
 /// Fixed byte length of the version-independent request prefix (v1
 /// requests carry the scenario name immediately after it; v2 requests
 /// insert [`REQUEST_CURSOR_LEN`] cursor bytes in between).
@@ -105,7 +102,7 @@ pub mod tag {
 pub mod code {
     /// Request did not start with [`super::MAGIC`].
     pub const BAD_MAGIC: u16 = 1;
-    /// Request version differs from [`super::VERSION`].
+    /// Request version is neither [`super::VERSION_V1`] nor [`super::VERSION_V2`].
     pub const UNSUPPORTED_VERSION: u16 = 2;
     /// A buffer ended before the structure it claimed to hold.
     pub const TRUNCATED: u16 = 3;
@@ -302,7 +299,7 @@ impl core::fmt::Display for ProtocolError {
             ProtocolError::PrecisionUnsupported { flags } => write!(
                 f,
                 "precision flags {flags:#06x} are not supported by wire \
-                 version {VERSION}; this server streams f64 blocks only"
+                 versions {VERSION_V1}..={VERSION_V2}; this server streams f64 blocks only"
             ),
             ProtocolError::ServerShutdown => {
                 write!(f, "server is shutting down; stream ended early")

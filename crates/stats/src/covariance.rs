@@ -68,8 +68,9 @@ pub fn sample_covariance_from_paths(paths: &[Vec<Complex64>]) -> CMatrix {
 
 /// Sample covariance straight from a planar [`SampleBlock`] — no snapshot
 /// or path vectors are materialized. Every sample of the block counts as one
-/// snapshot, matching [`sample_covariance`] over
-/// [`SampleBlock::to_snapshots`] bit for bit.
+/// snapshot, so this is [`sample_covariance`] over the vectors
+/// `(path(0)[l], …, path(N−1)[l])` — bit for bit on the scalar kernel
+/// backend (see [`SampleBlock::accumulate_covariance`]).
 ///
 /// # Panics
 /// Panics if the block is empty.

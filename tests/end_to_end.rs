@@ -2,15 +2,40 @@
 //! physical parameters → correlation model → covariance matrix → coloring →
 //! generation → statistical validation.
 
-use corrfade::{CorrelatedRayleighGenerator, GeneratorBuilder, RealtimeConfig, RealtimeGenerator};
-use corrfade_linalg::{c64, CMatrix};
+use corrfade::{
+    ChannelStream, CorrelatedRayleighGenerator, GeneratorBuilder, RealtimeConfig,
+    RealtimeGenerator, SampleBlock,
+};
+use corrfade_linalg::{c64, CMatrix, Complex64};
 use corrfade_models::{
     paper_covariance_matrix_22, paper_covariance_matrix_23, paper_spatial_scenario,
     paper_spectral_scenario, ChannelParams,
 };
 use corrfade_stats::{
-    ks_test, relative_frobenius_error, sample_covariance, sample_covariance_from_paths,
+    ks_test, relative_frobenius_error, sample_covariance_from_block, sample_covariance_from_paths,
 };
+
+/// `count` independent snapshots of a single-instant generator as one block.
+fn snapshots(k: CMatrix, seed: u64, count: usize) -> SampleBlock {
+    CorrelatedRayleighGenerator::new(k, seed)
+        .unwrap()
+        .with_stream_block_len(count)
+        .next_block()
+        .unwrap()
+}
+
+/// `blocks` consecutive blocks of a stream, concatenated per envelope.
+fn stream_paths(stream: &mut impl ChannelStream, blocks: usize) -> Vec<Vec<Complex64>> {
+    let mut paths = vec![Vec::new(); stream.dimension()];
+    let mut block = SampleBlock::empty();
+    for _ in 0..blocks {
+        stream.next_block_into(&mut block).unwrap();
+        for (j, path) in paths.iter_mut().enumerate() {
+            path.extend_from_slice(block.path(j));
+        }
+    }
+    paths
+}
 
 /// The full paper pipeline for the spectral (OFDM) experiment: physical
 /// parameters produce Eq. (22); the generator realizes it; the envelopes are
@@ -24,14 +49,12 @@ fn spectral_experiment_end_to_end() {
     let k = model.covariance_matrix(&freqs, &delays).unwrap();
     assert!(k.max_abs_diff(&paper_covariance_matrix_22()) < 5e-4);
 
-    let mut gen = CorrelatedRayleighGenerator::new(k.clone(), 0xE2E).unwrap();
-    let snaps = gen.generate_snapshots(80_000);
-    let khat = sample_covariance(&snaps);
+    let khat = sample_covariance_from_block(&snapshots(k.clone(), 0xE2E, 80_000));
     assert!(relative_frobenius_error(&khat, &k) < 0.03);
 
-    let mut gen = CorrelatedRayleighGenerator::new(k, 0xE2E1).unwrap();
-    let paths = gen.generate_envelope_paths(80_000);
-    for path in &paths {
+    let mut block = snapshots(k, 0xE2E1, 80_000);
+    for j in 0..3 {
+        let path = block.envelope_path(j);
         let moments = corrfade_stats::check_envelope_moments(path, 1.0);
         assert!(moments.max_relative_error() < 0.05, "{moments:?}");
         let sigma = corrfade_stats::rayleigh_scale(1.0);
@@ -52,13 +75,13 @@ fn spatial_experiment_end_to_end_realtime() {
         .seed(0xE2E2)
         .build_realtime(1024, 0.05, 0.5)
         .unwrap();
-    let block = gen.generate_blocks(30);
-    let khat = sample_covariance_from_paths(&block.gaussian_paths);
+    let paths = stream_paths(&mut gen, 30);
+    let khat = sample_covariance_from_paths(&paths);
     assert!(relative_frobenius_error(&khat, &k) < 0.08);
 
     // Each envelope keeps the Doppler autocorrelation after coloring.
     let target = gen.filter().normalized_autocorrelation(30);
-    for path in &block.gaussian_paths {
+    for path in &paths {
         let rho = corrfade_stats::normalized_autocorrelation(&path[..4096], 30);
         for d in 0..=30 {
             assert!((rho[d] - target[d]).abs() < 0.25, "lag {d}");
@@ -85,9 +108,10 @@ fn proposed_covers_scenarios_baselines_cannot() {
             method.name()
         );
     }
-    let mut gen = CorrelatedRayleighGenerator::new(hard.clone(), 0xE2E3).unwrap();
-    let forced = gen.realized_covariance();
-    let khat = sample_covariance(&gen.generate_snapshots(60_000));
+    let forced = CorrelatedRayleighGenerator::new(hard.clone(), 0xE2E3)
+        .unwrap()
+        .realized_covariance();
+    let khat = sample_covariance_from_block(&snapshots(hard, 0xE2E3, 60_000));
     assert!(relative_frobenius_error(&khat, &forced) < 0.04);
 }
 
@@ -120,20 +144,13 @@ fn variance_aware_combination_beats_the_flawed_one() {
         precision: corrfade::Precision::F64,
     })
     .unwrap();
-    let block = proposed.generate_blocks(20);
-    let err_proposed =
-        relative_frobenius_error(&sample_covariance_from_paths(&block.gaussian_paths), &k);
+    let paths = stream_paths(&mut proposed, 20);
+    let err_proposed = relative_frobenius_error(&sample_covariance_from_paths(&paths), &k);
 
     let mut flawed =
         corrfade_baselines::SorooshyariDautRealtimeGenerator::new(&k, 1024, 0.05, 0.5, 0xE2E5)
             .unwrap();
-    let mut paths: Vec<Vec<corrfade_linalg::Complex64>> = vec![Vec::new(); 3];
-    for _ in 0..20 {
-        let b = flawed.generate_block();
-        for j in 0..3 {
-            paths[j].extend_from_slice(&b[j]);
-        }
-    }
+    let paths = stream_paths(&mut flawed, 20);
     let err_flawed = relative_frobenius_error(&sample_covariance_from_paths(&paths), &k);
 
     assert!(

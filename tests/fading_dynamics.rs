@@ -8,7 +8,7 @@
 //! model (Rappaport, the paper's ref. [9]); they fail loudly if either the
 //! Doppler filter or the coloring step distorts the temporal statistics.
 
-use corrfade::{RealtimeConfig, RealtimeGenerator};
+use corrfade::{ChannelStream, RealtimeConfig, RealtimeGenerator, SampleBlock};
 use corrfade_models::paper_covariance_matrix_23;
 use corrfade_stats::{
     empirical_afd, empirical_lcr, envelope_rms, theoretical_afd, theoretical_lcr,
@@ -24,8 +24,13 @@ fn long_envelope(fm: f64, blocks: usize, seed: u64) -> Vec<f64> {
         precision: corrfade::Precision::F64,
     })
     .unwrap();
-    let block = gen.generate_blocks(blocks);
-    block.envelope_paths[0].clone()
+    let mut envelope = Vec::new();
+    let mut block = SampleBlock::empty();
+    for _ in 0..blocks {
+        gen.next_block_into(&mut block).unwrap();
+        envelope.extend_from_slice(block.envelope_path(0));
+    }
+    envelope
 }
 
 #[test]

@@ -133,7 +133,10 @@ fn off_broadside_spatial_covariances_are_complex() {
     assert!(k.is_hermitian(1e-12));
     assert!(k[(0, 1)].im.abs() > 1e-3);
     // And the generator still realizes it.
-    let mut gen = corrfade::CorrelatedRayleighGenerator::new(k.clone(), 0xFACE).unwrap();
-    let khat = corrfade_stats::sample_covariance(&gen.generate_snapshots(60_000));
+    let mut gen = corrfade::CorrelatedRayleighGenerator::new(k.clone(), 0xFACE)
+        .unwrap()
+        .with_stream_block_len(60_000);
+    let block = corrfade::ChannelStream::next_block(&mut gen).unwrap();
+    let khat = corrfade_stats::sample_covariance_from_block(&block);
     assert!(corrfade_stats::relative_frobenius_error(&khat, &k) < 0.03);
 }
