@@ -52,10 +52,7 @@ impl Coloring {
 pub fn eigen_coloring(k: &CMatrix) -> Result<Coloring, CorrfadeError> {
     let psd = force_positive_semidefinite(k)?;
     let sqrt_lambda: Vec<f64> = psd.clipped_eigenvalues.iter().map(|&l| l.sqrt()).collect();
-    let matrix = psd
-        .eigen
-        .eigenvectors
-        .matmul(&CMatrix::from_real_diag(&sqrt_lambda));
+    let matrix = psd.eigen.eigenvectors.scale_columns(&sqrt_lambda);
     Ok(Coloring { matrix, psd })
 }
 
@@ -73,6 +70,7 @@ pub fn cholesky_coloring(k: &CMatrix) -> Result<CMatrix, CorrfadeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corrfade_linalg::c64;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
 
     #[test]
@@ -118,6 +116,56 @@ mod tests {
         assert!(c.realized_covariance().approx_eq(&c.psd.forced, 1e-10));
         assert!(c.psd.clipped_count > 0);
         assert!(c.realized_covariance().max_abs_diff(&k) > 1e-3);
+    }
+
+    #[test]
+    fn non_finite_covariances_are_rejected_not_decorrelated() {
+        // A NaN or ∞ correlation used to come back as `L = I` (the
+        // correlation silently dropped), and ∞ power as an `∞ + NaN·i`
+        // coloring entry.
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let off = CMatrix::from_real_slice(2, 2, &[1.0, x, x, 1.0]);
+            assert_eq!(
+                eigen_coloring(&off).unwrap_err(),
+                CorrfadeError::NonFiniteCovariance { row: 0, col: 1 }
+            );
+        }
+        let diag = CMatrix::from_real_slice(2, 2, &[f64::INFINITY, 0.5, 0.5, 1.0]);
+        assert_eq!(
+            eigen_coloring(&diag).unwrap_err(),
+            CorrfadeError::NonFiniteCovariance { row: 0, col: 0 }
+        );
+        let complex = CMatrix::from_rows(&[
+            vec![c64(1.0, 0.0), c64(0.5, f64::NAN)],
+            vec![c64(0.5, 0.0), c64(1.0, 0.0)],
+        ]);
+        assert_eq!(
+            eigen_coloring(&complex).unwrap_err(),
+            CorrfadeError::NonFiniteCovariance { row: 0, col: 1 }
+        );
+    }
+
+    #[test]
+    fn scale_sweep_realizes_the_covariance_or_reports_an_error() {
+        // ρ = 0.9 scaled by s = 10^e. Before the Jacobi prescale, s ≤ 1e-170
+        // and s ≥ 1e155 returned Ok with a diagonal `L·Lᴴ` (error 0.9·s).
+        let mut realized = 0;
+        for e in -300..=300 {
+            let s = 10f64.powi(e);
+            let k = CMatrix::from_real_slice(2, 2, &[s, 0.9 * s, 0.9 * s, s]);
+            match eigen_coloring(&k) {
+                Ok(c) => {
+                    let err = c.realized_covariance().max_abs_diff(&k);
+                    assert!(err <= 1e-12 * s, "s = 1e{e}: max |L·Lᴴ − K| = {err:e}");
+                    realized += 1;
+                }
+                Err(err) => assert!(
+                    matches!(err, CorrfadeError::NonFiniteCovariance { .. }),
+                    "s = 1e{e}: untyped failure {err}"
+                ),
+            }
+        }
+        assert_eq!(realized, 601, "every finite scale is realizable");
     }
 
     #[test]

@@ -31,6 +31,15 @@ pub enum CorrfadeError {
     },
     /// The generator was asked for zero envelopes.
     EmptyCovariance,
+    /// An entry of the covariance matrix has a NaN or infinite real or
+    /// imaginary part. Reported before any other content check, because a
+    /// non-finite entry makes the Hermitian and power checks meaningless.
+    NonFiniteCovariance {
+        /// Row of the first offending entry (row-major order).
+        row: usize,
+        /// Column of the first offending entry.
+        col: usize,
+    },
     /// The driving variance `σ_g²` of the white Gaussian vector `W` must be
     /// finite and strictly positive, and so must the standard deviation
     /// and the `1/σ_g` scale derived from it.
@@ -71,6 +80,10 @@ impl fmt::Display for CorrfadeError {
                 "diagonal entry {index} of the covariance matrix must be a non-negative power, got {value}"
             ),
             CorrfadeError::EmptyCovariance => write!(f, "covariance matrix must have at least one envelope"),
+            CorrfadeError::NonFiniteCovariance { row, col } => write!(
+                f,
+                "covariance entry ({row}, {col}) must be finite (no NaN or infinite part)"
+            ),
             CorrfadeError::InvalidDrivingVariance { value } => {
                 write!(f, "driving variance must be finite and strictly positive, got {value}")
             }
@@ -131,6 +144,7 @@ mod tests {
                 value: -1.0,
             },
             CorrfadeError::EmptyCovariance,
+            CorrfadeError::NonFiniteCovariance { row: 0, col: 1 },
             CorrfadeError::InvalidDrivingVariance { value: 0.0 },
             CorrfadeError::MissingCovariance,
             CorrfadeError::PowerDimensionMismatch {

@@ -51,8 +51,14 @@ impl PsdForcing {
     }
 }
 
-/// Validates that `k` is a usable covariance matrix: square, Hermitian,
-/// non-empty, with non-negative real diagonal.
+/// Validates that `k` is a usable covariance matrix: square, non-empty,
+/// finite, Hermitian, with non-negative real diagonal.
+///
+/// # Errors
+/// [`CorrfadeError::NotSquare`], [`CorrfadeError::EmptyCovariance`],
+/// [`CorrfadeError::NonFiniteCovariance`] (the first entry, row-major, with
+/// a NaN or infinite part), [`CorrfadeError::NotHermitian`] or
+/// [`CorrfadeError::NegativePower`], checked in that order.
 pub fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
     if !k.is_square() {
         return Err(CorrfadeError::NotSquare {
@@ -63,6 +69,16 @@ pub fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
     if k.rows() == 0 {
         return Err(CorrfadeError::EmptyCovariance);
     }
+    if let Some(at) = k
+        .as_slice()
+        .iter()
+        .position(|z| !(z.re.is_finite() && z.im.is_finite()))
+    {
+        return Err(CorrfadeError::NonFiniteCovariance {
+            row: at / k.cols(),
+            col: at % k.cols(),
+        });
+    }
     let scale = k.max_abs().max(1.0);
     let dev = k.max_abs_diff(&k.adjoint());
     if dev > 1e-9 * scale {
@@ -70,7 +86,7 @@ pub fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
     }
     for i in 0..k.rows() {
         let d = k[(i, i)].re;
-        if d < 0.0 || d.is_nan() {
+        if d < 0.0 {
             return Err(CorrfadeError::NegativePower { index: i, value: d });
         }
     }
@@ -218,5 +234,24 @@ mod tests {
             force_positive_semidefinite(&neg_diag),
             Err(CorrfadeError::NegativePower { .. })
         ));
+    }
+
+    #[test]
+    fn validation_names_the_first_non_finite_entry() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (row, col, z) in [
+                (0, 1, c64(bad, 0.0)),
+                (1, 0, c64(0.5, bad)),
+                (1, 1, c64(bad, 0.0)),
+            ] {
+                let mut k = CMatrix::from_real_slice(2, 2, &[1.0, 0.5, 0.5, 1.0]);
+                k[(row, col)] = z;
+                assert_eq!(
+                    validate_covariance(&k),
+                    Err(CorrfadeError::NonFiniteCovariance { row, col }),
+                    "{z} at ({row}, {col})"
+                );
+            }
+        }
     }
 }

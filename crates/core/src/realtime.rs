@@ -679,6 +679,33 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_covariances_are_rejected() {
+        // ∞ power used to give `L[0][0] = ∞ + NaN·i`: half the samples of
+        // an M = 64 block came out non-finite. A NaN correlation gave L = I.
+        for (row, col, k) in [
+            (
+                0,
+                0,
+                CMatrix::from_real_slice(2, 2, &[f64::INFINITY, 0.5, 0.5, 1.0]),
+            ),
+            (
+                0,
+                1,
+                CMatrix::from_real_slice(2, 2, &[1.0, f64::NAN, f64::NAN, 1.0]),
+            ),
+        ] {
+            let cfg = RealtimeConfig {
+                idft_size: 64,
+                ..small_config(k, 1)
+            };
+            assert!(matches!(
+                RealtimeGenerator::new(cfg),
+                Err(CorrfadeError::NonFiniteCovariance { row: r, col: c }) if (r, c) == (row, col)
+            ));
+        }
+    }
+
+    #[test]
     fn invalid_configs_are_rejected() {
         let k = paper_covariance_matrix_22();
         let bad_doppler = RealtimeConfig {

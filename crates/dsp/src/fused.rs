@@ -39,6 +39,28 @@
 //! path, which is itself the pinned historical reference, switching the
 //! realtime generator to the fused kernel changes **no golden output**.
 //!
+//! # Real coloring matrices
+//!
+//! Every network group and every real registry scenario has a coloring
+//! matrix `L` whose imaginary parts are all exactly zero. On the vector
+//! backend, when that holds (checked once per call, `O(N²)` against the
+//! `O(N²·M)` coloring), each tile is colored by
+//! [`corrfade_linalg::kernel::color_planes_real`] instead of `N²` complex
+//! AXPYs: `y = fma(L.re, x, y)` in ascending `j`, two output rows × 8 samples
+//! held in registers, in a separate non-inlined `avx2,fma` function (inlined
+//! into this kernel's tile loop the same body ran about 2× slower).
+//! `color_block` uses the same body, so the fused-vs-two-pass identity
+//! above still compares like with like. The bits do not change:
+//!
+//! * every dropped `L.im·x` term is an exact `±0`;
+//! * the accumulators start at `+0`, and a round-to-nearest sum of `+0` and
+//!   `±0` is `+0` (adding `±0` to a nonzero value returns it unchanged);
+//! * so the two bodies can only differ where an accumulator underflows to
+//!   `−0`.
+//!
+//! The scalar backend (the golden reference) and complex matrices (fig4a)
+//! keep the AXPY body.
+//!
 //! Lengths that are not a power of two (and `M = 1`, which has no final
 //! stage) fall back to literally running the two-pass code, so the
 //! contract holds trivially there.
@@ -116,7 +138,7 @@ pub fn color_idft_block_with(
     }
     match b {
         Backend::Scalar => fused_scalar(n, m, a, scale, raw, out, w_scratch),
-        Backend::Vector => fused_vector(n, m, a, scale, raw, out, scratch),
+        Backend::Vector => fused_vector(n, m, a, kernel::is_real(a), scale, raw, out, scratch),
     }
 }
 
@@ -173,10 +195,17 @@ fn fused_scalar(
 /// `mul_add` twiddle formula), matching `butterflies_body` bit for bit —
 /// without the multiversioning the final-stage tile loop runs baseline
 /// codegen and loses more than the fusion saves.
+///
+/// `real` (every entry of `a` real, tested once per call) selects the
+/// register-blocked [`kernel::color_planes_real`] body for each tile, the
+/// body `color_block` uses for a real matrix; the tests pass `false` to pin
+/// it against the complex AXPY body.
+#[allow(clippy::too_many_arguments)]
 fn fused_vector(
     n: usize,
     m: usize,
     a: &[Complex64],
+    real: bool,
     scale: f64,
     raw: &mut [Complex64],
     out: &mut [Complex64],
@@ -185,10 +214,10 @@ fn fused_vector(
     #[cfg(target_arch = "x86_64")]
     if kernel::vector_uses_fma() {
         // SAFETY: guarded by the kernel layer's runtime AVX2+FMA detection.
-        unsafe { fused_vector_avx2(n, m, a, scale, raw, out, scratch) };
+        unsafe { fused_vector_avx2(n, m, a, real, scale, raw, out, scratch) };
         return;
     }
-    fused_vector_body::<false>(n, m, a, scale, raw, out, scratch);
+    fused_vector_body::<false>(n, m, a, real, scale, raw, out, scratch);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -198,19 +227,22 @@ unsafe fn fused_vector_avx2(
     n: usize,
     m: usize,
     a: &[Complex64],
+    real: bool,
     scale: f64,
     raw: &mut [Complex64],
     out: &mut [Complex64],
     scratch: &mut Vec<f64>,
 ) {
-    fused_vector_body::<true>(n, m, a, scale, raw, out, scratch);
+    fused_vector_body::<true>(n, m, a, real, scale, raw, out, scratch);
 }
 
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn fused_vector_body<const FMA: bool>(
     n: usize,
     m: usize,
     a: &[Complex64],
+    real: bool,
     scale: f64,
     raw: &mut [Complex64],
     out: &mut [Complex64],
@@ -257,6 +289,25 @@ fn fused_vector_body<const FMA: bool>(
                 hi_re[j * tile + idx] = (u.re - vr) * inv_m;
                 hi_im[j * tile + idx] = (u.im - vi) * inv_m;
             }
+        }
+        if real {
+            for (planes_re, planes_im, off) in
+                [(&*lo_re, &*lo_im, k0), (&*hi_re, &*hi_im, half + k0)]
+            {
+                kernel::color_planes_real(
+                    n,
+                    a,
+                    planes_re,
+                    planes_im,
+                    tile,
+                    t,
+                    scale,
+                    &mut out[off..],
+                    m,
+                );
+            }
+            k0 += t;
+            continue;
         }
         for i in 0..n {
             for (planes_re, planes_im, off) in
@@ -629,6 +680,99 @@ mod tests {
                     &mut s,
                 );
                 assert_eq!(got, expected, "{b:?} n={n} m={m}");
+            }
+        }
+    }
+
+    /// A real coloring matrix with negative and exact-zero entries.
+    fn real_matrix(n: usize) -> Vec<Complex64> {
+        (0..n * n)
+            .map(|i| match i % 7 {
+                0 => Complex64::ZERO,
+                3 => c64(-0.0, 0.0),
+                _ => c64(((i * 7919) % 101) as f64 / 50.0 - 1.0, 0.0),
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(a: &[Complex64], b: &[Complex64], what: &str) {
+        for (l, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: sample {l}: {x} vs {y}"
+            );
+        }
+    }
+
+    #[test]
+    fn real_coloring_keeps_the_fused_and_two_pass_bits() {
+        // The vector backend colors a real matrix with the register-blocked
+        // real body in both paths; the fused kernel must still match the
+        // two-pass one, and the real body the complex AXPY body.
+        let shapes = [
+            (3usize, 64usize),
+            (17, 64),
+            (64, 256),
+            (3, 256),
+            (17, 4096),
+            (3, 1003),
+            (17, 1003),
+        ];
+        for (n, m) in shapes {
+            let a = real_matrix(n);
+            let raw = block(n, m);
+            let what = format!("n={n} m={m}");
+
+            let mut two_pass_raw = raw.clone();
+            for j in 0..n {
+                crate::fft::ifft_in_place_with(
+                    Backend::Vector,
+                    &mut two_pass_raw[j * m..(j + 1) * m],
+                );
+            }
+            let mut expected = vec![Complex64::ZERO; n * m];
+            let (mut w, mut s) = (Vec::new(), Vec::new());
+            kernel::color_block_with(
+                Backend::Vector,
+                n,
+                m,
+                &a,
+                0.83,
+                &two_pass_raw,
+                &mut expected,
+                &mut w,
+                &mut s,
+            );
+
+            let mut fused_raw = raw.clone();
+            let mut got = vec![Complex64::ZERO; n * m];
+            color_idft_block_with(
+                Backend::Vector,
+                n,
+                m,
+                &a,
+                0.83,
+                &mut fused_raw,
+                &mut got,
+                &mut w,
+                &mut s,
+            );
+            assert_bits_eq(&got, &expected, &format!("fused vs two-pass {what}"));
+
+            if is_power_of_two(m) {
+                let mut complex_raw = raw;
+                let mut complex = vec![Complex64::ZERO; n * m];
+                fused_vector(
+                    n,
+                    m,
+                    &a,
+                    false,
+                    0.83,
+                    &mut complex_raw,
+                    &mut complex,
+                    &mut s,
+                );
+                assert_bits_eq(&got, &complex, &format!("real vs complex body {what}"));
             }
         }
     }

@@ -6,14 +6,47 @@
 //! Hermitian by construction, so the unconditionally-convergent Jacobi
 //! iteration is a natural fit: it is simple, backward-stable and — unlike
 //! Cholesky — does not care whether the matrix is positive (semi-)definite.
-//! For the matrix sizes that appear in fading simulation (a handful to a few
-//! dozen sub-carriers or antennas) its `O(N³)` per-sweep cost is irrelevant.
 //!
 //! Complex Hermitian matrices are diagonalized directly with complex Jacobi
 //! rotations (a phase factor absorbs the argument of the pivot entry, then a
 //! real Givens rotation annihilates it); real symmetric matrices use the
 //! classic real rotation. Eigenvalues are returned in **descending** order
 //! together with the matching orthonormal eigenvectors.
+//!
+//! # Cost
+//!
+//! One sweep visits all `N(N−1)/2` pivots at `O(N)` each, so a sweep is
+//! `O(N³)`. That is negligible for the paper's `N = 3` but not for the
+//! network simulator's 64-link groups, which are decomposed every time a
+//! simulation or shard opens. Two rules keep the count of sweeps and the cost
+//! of each down without changing a single output bit:
+//!
+//! * **Exit on a still sweep.** A pivot is skipped when `|a_pq| ≤ ε·‖A‖_F`.
+//!   The off-diagonal mass of a 64×64 group can stall ~100× above the
+//!   `(ε·‖A‖_F)²` target while every pivot is already below that skip
+//!   threshold; a sweep then performs no rotation, leaves the matrix
+//!   unchanged, and so would every later sweep. The loop ends after the
+//!   first such sweep instead of running on to [`MAX_SWEEPS`].
+//! * **Real mirror.** When the (hermitianized) input has every imaginary
+//!   part exactly zero — every network group and every real registry
+//!   scenario — [`hermitian_eigen`] runs the same rotation sequence on `f64`
+//!   rows. Every dropped term is an exact zero: `|a_pq| = hypot(a_pq, 0)`,
+//!   the phase is exactly `±1`, and `(a_rq·e^{−iφ}).re = a_rq·(±1)`. The
+//!   pivot order, `τ`, `t`, `c` and `s` are the complex path's, so the
+//!   eigenvalues are bit-identical and the eigenvectors equal entry for
+//!   entry (an exact zero may differ in sign). This is deliberately *not*
+//!   [`symmetric_eigen`], whose `τ` uses the signed pivot and so flips the
+//!   signs of some eigenvector columns.
+//!
+//! # Scale
+//!
+//! [`hermitian_eigen`] runs on a copy scaled by an exact power of two,
+//! `2^−k` with `k` the binary exponent of the largest modulus, and scales the
+//! eigenvalues back by `2^k`. Every step of the iteration commutes with
+//! such a scaling as long as no value leaves the normal range, so this
+//! changes no bit for ordinary matrices; without it the convergence test's
+//! squared norms underflow (entries ≲ 1e-160) or overflow (≳ 1e152) and the
+//! iteration returns the input's diagonal as its spectrum.
 
 use crate::complex::{c64, Complex64};
 use crate::error::LinalgError;
@@ -26,8 +59,11 @@ use crate::matrix::{CMatrix, RMatrix};
 pub const DEFAULT_HERMITIAN_TOL: f64 = 1e-9;
 
 /// Maximum number of Jacobi sweeps before reporting a convergence failure.
-/// Jacobi converges quadratically once the off-diagonal mass is small; 64
-/// sweeps is far beyond what any `N ≤ 1024` Hermitian matrix needs.
+/// Jacobi converges quadratically once the off-diagonal mass is small: a
+/// 64×64 network group performs its last rotation by about sweep 10, and the
+/// next sweep, which rotates nothing, ends the loop (see the
+/// [module docs](self)). Reaching this bound therefore means the iteration
+/// was still rotating, not merely that the target was out of reach.
 pub const MAX_SWEEPS: usize = 64;
 
 /// Eigendecomposition `A = V · diag(λ) · Vᴴ` of a Hermitian matrix.
@@ -51,8 +87,7 @@ impl HermitianEigen {
             "reconstruct_with: eigenvalue count mismatch"
         );
         let v = &self.eigenvectors;
-        let lambda = CMatrix::from_real_diag(eigenvalues);
-        v.matmul(&lambda).matmul(&v.adjoint())
+        v.scale_columns(eigenvalues).matmul(&v.adjoint())
     }
 
     /// Reconstructs the original matrix `V · diag(λ) · Vᴴ`.
@@ -128,12 +163,18 @@ fn off_diagonal_norm_sqr(a: &CMatrix) -> f64 {
 }
 
 fn off_diagonal_norm_sqr_real(a: &RMatrix) -> f64 {
-    let n = a.rows();
+    off_diagonal_norm_sqr_slice(a.as_slice(), a.rows())
+}
+
+/// [`off_diagonal_norm_sqr`] of a row-major real `n × n` matrix, summed in
+/// the same order (`x·x` equals the complex `norm_sqr` bit for bit when the
+/// imaginary part is zero).
+fn off_diagonal_norm_sqr_slice(a: &[f64], n: usize) -> f64 {
     let mut s = 0.0;
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                s += a[(i, j)] * a[(i, j)];
+                s += a[i * n + j] * a[i * n + j];
             }
         }
     }
@@ -141,7 +182,8 @@ fn off_diagonal_norm_sqr_real(a: &RMatrix) -> f64 {
 }
 
 /// Computes the eigendecomposition of a Hermitian matrix using cyclic
-/// complex Jacobi rotations.
+/// complex Jacobi rotations, or their exact real mirror when every entry of
+/// the matrix is real (see the [module docs](self)).
 ///
 /// # Errors
 /// * [`LinalgError::NotSquare`] if the matrix is not square.
@@ -149,7 +191,8 @@ fn off_diagonal_norm_sqr_real(a: &RMatrix) -> f64 {
 ///   [`DEFAULT_HERMITIAN_TOL`] (scaled by the matrix magnitude).
 /// * [`LinalgError::ConvergenceFailure`] if the off-diagonal mass does not
 ///   reach machine precision within [`MAX_SWEEPS`] sweeps (not observed in
-///   practice for Hermitian inputs).
+///   practice for Hermitian inputs). `iterations` is the number of sweeps
+///   actually run.
 pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
@@ -177,6 +220,98 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     // matrix cannot leak into the iteration.
     let mut m = a.clone();
     m.hermitianize();
+    let k = prescale_exponent(m.max_abs());
+    let (eigen, _sweeps) = if is_finite_real(&m) {
+        real_jacobi(&m, k)?
+    } else {
+        complex_jacobi(m, k)?
+    };
+    Ok(eigen)
+}
+
+/// Whether every entry is a finite real number (`im == 0`), the condition
+/// under which [`real_jacobi`] reproduces [`complex_jacobi`].
+fn is_finite_real(m: &CMatrix) -> bool {
+    m.as_slice().iter().all(|z| z.im == 0.0 && z.re.is_finite())
+}
+
+/// Binary exponent `k` of `max_abs` (`2^k ≤ max_abs < 2^(k+1)`), clamped so
+/// that `2^k` and `2^−k` are both normal; `0` for a zero, subnormal or
+/// non-finite `max_abs`, which leaves the matrix unscaled.
+fn prescale_exponent(max_abs: f64) -> i32 {
+    if !max_abs.is_normal() {
+        return 0;
+    }
+    let biased = ((max_abs.to_bits() >> 52) & 0x7ff) as i32;
+    (biased - 1023).clamp(-1022, 1022)
+}
+
+/// `2^e` for `e` in the normal exponent range.
+fn pow2(e: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&e));
+    f64::from_bits(((e + 1023) as u64) << 52)
+}
+
+/// The Jacobi rotation `(t, c, s)` that annihilates a pivot of modulus
+/// `abs_apq` between diagonal entries `app` and `aqq`.
+#[inline]
+fn rotation(app: f64, aqq: f64, abs_apq: f64) -> (f64, f64, f64) {
+    let tau = (aqq - app) / (2.0 * abs_apq);
+    let t = if tau >= 0.0 {
+        1.0 / (tau + (1.0 + tau * tau).sqrt())
+    } else {
+        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+    };
+    let c = 1.0 / (1.0 + t * t).sqrt();
+    (t, c, t * c)
+}
+
+/// Sorts the converged diagonal `raw` (already scaled back) in descending
+/// order and gathers the matching eigenvector columns, `vec(i, c)` being
+/// entry `i` of the eigenvector of `raw[c]`.
+fn sorted_decomposition(raw: Vec<f64>, vec: impl Fn(usize, usize) -> Complex64) -> HermitianEigen {
+    let n = raw.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| {
+        raw[j]
+            .partial_cmp(&raw[i])
+            .unwrap_or(core::cmp::Ordering::Equal)
+    });
+    HermitianEigen {
+        eigenvalues: order.iter().map(|&i| raw[i]).collect(),
+        eigenvectors: CMatrix::from_fn(n, n, |i, j| vec(i, order[j])),
+    }
+}
+
+/// The convergence verdict shared by both bodies: `Ok` unless the residual
+/// off-diagonal mass is still far above the target.
+fn check_residual(
+    off_sqr: f64,
+    target: f64,
+    frob: f64,
+    sweeps: usize,
+    up: f64,
+) -> Result<(), LinalgError> {
+    let residual = off_sqr.sqrt();
+    if residual * residual > target * 4.0 && residual > 1e-10 * frob {
+        return Err(LinalgError::ConvergenceFailure {
+            iterations: sweeps,
+            residual: residual * up,
+        });
+    }
+    Ok(())
+}
+
+/// Complex cyclic Jacobi on the hermitianized `m`, run on `m·2^−k`; also
+/// returns the number of sweeps run.
+fn complex_jacobi(mut m: CMatrix, k: i32) -> Result<(HermitianEigen, usize), LinalgError> {
+    let n = m.rows();
+    if k != 0 {
+        let down = pow2(-k);
+        for z in m.as_mut_slice() {
+            *z = z.scale(down);
+        }
+    }
     let mut v = CMatrix::identity(n);
 
     let frob = m.frobenius_norm().max(f64::MIN_POSITIVE);
@@ -185,6 +320,7 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     let mut sweeps = 0;
     while off_diagonal_norm_sqr(&m) > target && sweeps < MAX_SWEEPS {
         sweeps += 1;
+        let mut rotated = false;
         for p in 0..n {
             for q in (p + 1)..n {
                 let apq = m[(p, q)];
@@ -192,6 +328,7 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
                 if abs_apq <= f64::EPSILON * frob {
                     continue;
                 }
+                rotated = true;
                 // Phase factor e^{iφ} of the pivot entry; dividing column q by
                 // it turns the 2×2 pivot block into a real symmetric one.
                 let phase = apq.unscale(abs_apq);
@@ -199,14 +336,7 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
 
                 let app = m[(p, p)].re;
                 let aqq = m[(q, q)].re;
-                let tau = (aqq - app) / (2.0 * abs_apq);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
+                let (t, c, s) = rotation(app, aqq, abs_apq);
 
                 // Update rows/columns p and q for every other index r.
                 for r in 0..n {
@@ -239,31 +369,101 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
                 }
             }
         }
+        if !rotated {
+            // Nothing moved, so every later sweep would skip the same pivots.
+            break;
+        }
     }
 
-    let residual = off_diagonal_norm_sqr(&m).sqrt();
-    if residual * residual > target * 4.0 && residual > 1e-10 * frob {
-        return Err(LinalgError::ConvergenceFailure {
-            iterations: sweeps,
-            residual,
-        });
+    let up = pow2(k);
+    check_residual(off_diagonal_norm_sqr(&m), target, frob, sweeps, up)?;
+    let raw: Vec<f64> = (0..n).map(|i| m[(i, i)].re * up).collect();
+    Ok((sorted_decomposition(raw, |i, c| v[(i, c)]), sweeps))
+}
+
+/// [`complex_jacobi`] for a hermitianized `m` whose entries are all finite
+/// and real: the same pivots and rotations on `f64`, with every exact-zero
+/// imaginary term dropped. `sgn = a_pq/|a_pq|` is the complex path's phase
+/// (exactly ±1), and `a_rq·sgn` its `(a_rq·e^{−iφ}).re`. Rows `p` and `q`
+/// are updated contiguously and mirrored into columns `p` and `q`, which
+/// keeps the working copy exactly symmetric; `V` is accumulated transposed
+/// (row `c` of `vt` is eigenvector column `c`) for the same reason.
+fn real_jacobi(h: &CMatrix, k: i32) -> Result<(HermitianEigen, usize), LinalgError> {
+    let n = h.rows();
+    let down = pow2(-k);
+    let mut m: Vec<f64> = h.as_slice().iter().map(|z| z.re * down).collect();
+    let mut vt = vec![0.0; n * n];
+    for i in 0..n {
+        vt[i * n + i] = 1.0;
     }
 
-    let mut order: Vec<usize> = (0..n).collect();
-    let raw: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
-    order.sort_by(|&i, &j| {
-        raw[j]
-            .partial_cmp(&raw[i])
-            .unwrap_or(core::cmp::Ordering::Equal)
-    });
+    let frob = m
+        .iter()
+        .map(|&x| x * x)
+        .sum::<f64>()
+        .sqrt()
+        .max(f64::MIN_POSITIVE);
+    let target = (f64::EPSILON * frob).powi(2);
 
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| raw[i]).collect();
-    let eigenvectors = CMatrix::from_fn(n, n, |i, j| v[(i, order[j])]);
+    let mut sweeps = 0;
+    while off_diagonal_norm_sqr_slice(&m, n) > target && sweeps < MAX_SWEEPS {
+        sweeps += 1;
+        let mut rotated = false;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = m[p * n + q];
+                let abs_apq = apq.abs();
+                if abs_apq <= f64::EPSILON * frob {
+                    continue;
+                }
+                rotated = true;
+                let sgn = apq / abs_apq;
+                let app = m[p * n + p];
+                let aqq = m[q * n + q];
+                let (t, c, s) = rotation(app, aqq, abs_apq);
 
-    Ok(HermitianEigen {
-        eigenvalues,
-        eigenvectors,
-    })
+                // Entries p and q of the two rows are recomputed here too and
+                // overwritten by the diagonal block below.
+                rotate_rows(&mut m, n, p, q, sgn, c, s);
+                for r in 0..n {
+                    m[r * n + p] = m[p * n + r];
+                    m[r * n + q] = m[q * n + r];
+                }
+                m[p * n + p] = app - t * abs_apq;
+                m[q * n + q] = aqq + t * abs_apq;
+                m[p * n + q] = 0.0;
+                m[q * n + p] = 0.0;
+
+                rotate_rows(&mut vt, n, p, q, sgn, c, s);
+            }
+        }
+        if !rotated {
+            break;
+        }
+    }
+
+    let up = pow2(k);
+    check_residual(off_diagonal_norm_sqr_slice(&m, n), target, frob, sweeps, up)?;
+    let raw: Vec<f64> = (0..n).map(|i| m[i * n + i] * up).collect();
+    Ok((
+        sorted_decomposition(raw, |i, c| c64(vt[c * n + i], 0.0)),
+        sweeps,
+    ))
+}
+
+/// `(x_p, x_q) ← (x_p·c − (x_q·sgn)·s, x_p·s + (x_q·sgn)·c)` over the
+/// contiguous rows `p < q` of the row-major `n × n` matrix `a`.
+#[inline]
+fn rotate_rows(a: &mut [f64], n: usize, p: usize, q: usize, sgn: f64, c: f64, s: f64) {
+    let (head, tail) = a.split_at_mut(q * n);
+    let row_p = &mut head[p * n..(p + 1) * n];
+    let row_q = &mut tail[..n];
+    for (xp, xq) in row_p.iter_mut().zip(row_q.iter_mut()) {
+        let arp = *xp;
+        let arq = *xq * sgn;
+        *xp = arp * c - arq * s;
+        *xq = arp * s + arq * c;
+    }
 }
 
 /// Computes the eigendecomposition of a real symmetric matrix using cyclic
@@ -388,6 +588,7 @@ pub fn symmetric_eigen(a: &RMatrix) -> Result<SymmetricEigen, LinalgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hermitian_3x3() -> CMatrix {
         CMatrix::from_rows(&[
@@ -615,5 +816,312 @@ mod tests {
         }
         let e = hermitian_eigen(&a).unwrap();
         assert!(e.reconstruct().approx_eq(&a, 1e-8));
+    }
+
+    // ---- Real mirror, prescale and exit rule ----------------------------
+
+    /// FNV-1a over 64-bit words: the digest of a pinned decomposition.
+    fn digest(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Converts a matrix built by another workspace crate (which links its
+    /// own copy of this crate) into this crate's type.
+    macro_rules! local {
+        ($k:expr) => {{
+            let k = &$k;
+            CMatrix::from_fn(k.rows(), k.cols(), |i, j| {
+                let z = k[(i, j)];
+                c64(z.re, z.im)
+            })
+        }};
+    }
+
+    /// The 16 group covariances of the 1012-link `network_epoch` grid
+    /// (23×23 nodes, `D_c = 0.4`, threshold 0.1, groups of ≤ 64, default
+    /// path loss), in leader order.
+    fn network_groups() -> Vec<CMatrix> {
+        use corrfade_models::wsn::{link_field_covariance, LinkCorrelationModel};
+        use corrfade_network::{partition_links, NetworkSimConfig, Topology};
+        let correlation = LinkCorrelationModel::distance_only(0.4);
+        let path_loss = NetworkSimConfig::default().path_loss;
+        let topology = Topology::grid(23, 23, 1.0).unwrap();
+        let pairs = topology.link_pairs();
+        let groups = partition_links(&topology, &correlation, 0.1, 64);
+        assert_eq!(groups.len(), 16);
+        groups
+            .groups()
+            .iter()
+            .map(|g| {
+                let group_pairs: Vec<_> = g.iter().map(|&l| pairs[l]).collect();
+                let k = link_field_covariance(
+                    topology.positions(),
+                    &group_pairs,
+                    &correlation,
+                    &path_loss,
+                )
+                .unwrap();
+                local!(k)
+            })
+            .collect()
+    }
+
+    /// The covariance of every registry scenario.
+    fn registry_covariances() -> Vec<(&'static str, CMatrix)> {
+        corrfade_scenarios::iter()
+            .map(|s| (s.name, local!(s.covariance_matrix().unwrap())))
+            .collect()
+    }
+
+    fn hermitianized(a: &CMatrix) -> CMatrix {
+        let mut m = a.clone();
+        m.hermitianize();
+        m
+    }
+
+    /// `L = V·√max(λ, 0)`, as `corrfade::eigen_coloring` builds it.
+    fn coloring_of(e: &HermitianEigen) -> CMatrix {
+        let sqrt: Vec<f64> = e.eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();
+        e.eigenvectors.scale_columns(&sqrt)
+    }
+
+    /// Equal entry for entry, with bits that may differ only in the sign of
+    /// an exact zero.
+    fn assert_same_up_to_zero_sign(a: &CMatrix, b: &CMatrix, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}");
+        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            assert!(x == y, "{what}: entry {i} differs: {x} vs {y}");
+            for (p, q) in [(x.re, y.re), (x.im, y.im)] {
+                assert!(
+                    p.to_bits() == q.to_bits() || (p == 0.0 && q == 0.0),
+                    "{what}: entry {i} bits differ: {p:e} vs {q:e}"
+                );
+            }
+        }
+    }
+
+    fn eigenvalue_bits(e: &HermitianEigen) -> Vec<u64> {
+        e.eigenvalues.iter().map(|l| l.to_bits()).collect()
+    }
+
+    /// Runs both bodies on `a` and asserts the mirror reproduces the complex
+    /// path: eigenvalues `to_bits`-equal, eigenvectors and `L` equal with
+    /// bits equal up to the sign of an exact zero, same sweep count.
+    fn assert_mirror_matches(a: &CMatrix, what: &str) -> usize {
+        let h = hermitianized(a);
+        assert!(is_finite_real(&h), "{what}: input must be real");
+        let k = prescale_exponent(h.max_abs());
+        let (real, real_sweeps) = real_jacobi(&h, k).unwrap();
+        let (complex, complex_sweeps) = complex_jacobi(h, k).unwrap();
+        assert_eq!(real_sweeps, complex_sweeps, "{what}: sweeps");
+        assert_eq!(eigenvalue_bits(&real), eigenvalue_bits(&complex), "{what}");
+        assert_same_up_to_zero_sign(
+            &real.eigenvectors,
+            &complex.eigenvectors,
+            &format!("{what} eigenvectors"),
+        );
+        assert_same_up_to_zero_sign(
+            &coloring_of(&real),
+            &coloring_of(&complex),
+            &format!("{what} coloring"),
+        );
+        real_sweeps
+    }
+
+    #[test]
+    fn real_mirror_matches_the_complex_body_on_every_network_group() {
+        for (g, k) in network_groups().iter().enumerate() {
+            let sweeps = assert_mirror_matches(k, &format!("group {g}"));
+            // The exit rule ends the loop one still sweep after the last
+            // rotation (around sweep 10), not at the MAX_SWEEPS cap.
+            assert!(sweeps < 20, "group {g} ran {sweeps} sweeps");
+        }
+    }
+
+    #[test]
+    fn real_mirror_matches_the_complex_body_on_every_real_registry_scenario() {
+        let mut real = 0;
+        for (name, k) in registry_covariances() {
+            if is_finite_real(&hermitianized(&k)) {
+                assert_mirror_matches(&k, name);
+                real += 1;
+            }
+        }
+        assert!(real >= 10, "only {real} real scenarios");
+    }
+
+    #[test]
+    fn network_group_decompositions_keep_their_pinned_bits() {
+        // Digests of the eigenvalue bits and of `L` (exact zeros folded to
+        // +0) taken from the complex Jacobi that ran every group to
+        // MAX_SWEEPS before the real mirror, the exit rule and the prescale
+        // existed. Any drift in the decomposition shows here.
+        const PINNED: [(u64, u64); 16] = [
+            (0xcbab_bc92_bc06_ac84, 0xaf2b_8a14_0913_f942),
+            (0x9455_1ad5_7cdc_1cb1, 0x144c_5c63_ebaf_2a16),
+            (0x3c13_00af_5370_b57c, 0xff04_1511_78b8_8a74),
+            (0x9e78_f76b_6124_18ea, 0xcc7a_6cd6_bf66_6b49),
+            (0xb10f_3442_3ead_ca48, 0xfa54_c28c_e36a_497e),
+            (0xa547_9620_c916_e8c8, 0xf799_2276_d1df_863f),
+            (0x038d_99fd_6c59_9b3f, 0xf696_22e0_d966_3211),
+            (0x7671_d62c_516f_f96d, 0x034a_801e_8850_30a9),
+            (0xd436_25cd_f37e_c302, 0x6741_cd53_b4ba_a2bb),
+            (0x6dbc_2cf8_92be_b45b, 0x9c9f_689a_ef3d_e83b),
+            (0x8a48_f09c_e7e3_0f20, 0x69c2_394f_f3df_8a14),
+            (0x8216_59f5_8827_dd64, 0xad70_1cdb_136a_7c78),
+            (0xd10b_9b0e_438a_9345, 0x36f4_5aa1_2305_a8aa),
+            (0xe26d_da47_1e02_5e4c, 0x2bf6_0dc5_d4ae_347e),
+            (0x908d_b192_077a_39d2, 0xbcb0_3f88_4edb_b9e6),
+            (0x5ae9_0b08_b5c8_cbac, 0xdf6b_1256_0cb7_3452),
+        ];
+        for (g, (k, &(ev, l))) in network_groups().iter().zip(PINNED.iter()).enumerate() {
+            let e = hermitian_eigen(k).unwrap();
+            assert_eq!(
+                digest(e.eigenvalues.iter().map(|x| x.to_bits())),
+                ev,
+                "group {g}"
+            );
+            let words = coloring_of(&e)
+                .as_slice()
+                .iter()
+                .flat_map(|z| [(z.re + 0.0).to_bits(), (z.im + 0.0).to_bits()])
+                .collect::<Vec<_>>();
+            assert_eq!(digest(words.into_iter()), l, "group {g}");
+        }
+    }
+
+    #[test]
+    fn prescale_changes_no_bit_of_a_normal_range_matrix() {
+        let mut inputs: Vec<(String, CMatrix)> = network_groups()
+            .into_iter()
+            .enumerate()
+            .map(|(g, k)| (format!("group {g}"), k))
+            .collect();
+        inputs.extend(
+            registry_covariances()
+                .into_iter()
+                .map(|(name, k)| (name.to_string(), k)),
+        );
+        inputs.push(("hermitian_3x3".into(), hermitian_3x3()));
+        let mut prescaled = 0;
+        for (what, a) in &inputs {
+            let h = hermitianized(a);
+            let k = prescale_exponent(h.max_abs());
+            prescaled += usize::from(k != 0);
+            let run = |k| {
+                if is_finite_real(&h) {
+                    real_jacobi(&h, k).unwrap().0
+                } else {
+                    complex_jacobi(h.clone(), k).unwrap().0
+                }
+            };
+            let (with, without) = (run(k), run(0));
+            assert_eq!(eigenvalue_bits(&with), eigenvalue_bits(&without), "{what}");
+            for (x, y) in with
+                .eigenvectors
+                .as_slice()
+                .iter()
+                .zip(without.eigenvectors.as_slice())
+            {
+                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}");
+                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}");
+            }
+        }
+        assert!(prescaled > 0, "no input exercised a nonzero prescale");
+    }
+
+    #[test]
+    fn decomposition_commutes_with_power_of_two_scaling() {
+        for a in [hermitian_3x3(), network_groups().swap_remove(3)] {
+            let base = hermitian_eigen(&a).unwrap();
+            for e in [-900, -600, -40, 40, 600, 900] {
+                let f = pow2(e / 2) * pow2(e - e / 2);
+                let scaled = hermitian_eigen(&a.scale_real(f)).unwrap();
+                for (x, y) in scaled.eigenvalues.iter().zip(&base.eigenvalues) {
+                    assert_eq!(x.to_bits(), (y * f).to_bits(), "2^{e}");
+                }
+                assert_eq!(scaled.eigenvectors, base.eigenvectors, "2^{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_and_huge_covariances_are_still_diagonalized() {
+        // Without the prescale the off-diagonal norm and the target both
+        // underflow (or overflow), no sweep runs, and the input diagonal
+        // comes back as the spectrum.
+        for s in [1e-300, 1e-200, 1e-170, 1e155, 1e200, 1e300] {
+            let a = CMatrix::from_real_slice(2, 2, &[s, 0.9 * s, 0.9 * s, s]);
+            let e = hermitian_eigen(&a).unwrap();
+            assert!((e.eigenvalues[0] / s - 1.9).abs() < 1e-12, "s = {s:e}");
+            assert!((e.eigenvalues[1] / s - 0.1).abs() < 1e-12, "s = {s:e}");
+        }
+    }
+
+    #[test]
+    fn reconstruct_with_scales_columns_like_the_diagonal_product() {
+        let a = hermitian_3x3();
+        let e = hermitian_eigen(&a).unwrap();
+        let lambda = [1.5, 0.0, -0.25];
+        let by_matmul = e
+            .eigenvectors
+            .matmul(&CMatrix::from_real_diag(&lambda))
+            .matmul(&e.eigenvectors.adjoint());
+        assert_same_up_to_zero_sign(&e.reconstruct_with(&lambda), &by_matmul, "reconstruct");
+    }
+
+    /// Real symmetric matrices with negative and exactly-zero off-diagonal
+    /// entries, repeated values, zero rows, and both indefinite and
+    /// rank-deficient (`B·Bᵀ`, `B` of rank < `n`) shapes.
+    fn real_symmetric(max_n: usize) -> impl Strategy<Value = CMatrix> {
+        // Kind 0–1: exact zero; 2: a multiple of 1/4 in [−1, 1] (repeats
+        // give ties and τ = 0); otherwise uniform in [−2, 2).
+        let entry = (0u32..6, -2.0f64..2.0).prop_map(|(kind, x)| match kind {
+            0 | 1 => 0.0,
+            2 => (x * 2.0).round() * 0.25,
+            _ => x,
+        });
+        (1..=max_n)
+            .prop_flat_map(move |n| {
+                (
+                    Just(n),
+                    proptest::collection::vec(entry.clone(), n * n),
+                    proptest::collection::vec(0u32..4, n),
+                    0u32..2,
+                    0..n,
+                )
+            })
+            .prop_map(|(n, entries, zero_rows, gram, rank)| {
+                let mut a = if gram == 1 {
+                    // Rank ≤ `rank` < n: a PSD, singular matrix.
+                    let b = CMatrix::from_fn(n, n, |i, j| {
+                        c64(if j < rank { entries[i * n + j] } else { 0.0 }, 0.0)
+                    });
+                    b.aat_adjoint()
+                } else {
+                    CMatrix::from_fn(n, n, |i, j| c64(entries[i.min(j) * n + i.max(j)], 0.0))
+                };
+                // About one row in four is zeroed with its column.
+                for (r, &zero) in zero_rows.iter().enumerate() {
+                    if zero == 0 {
+                        for c in 0..n {
+                            a[(r, c)] = Complex64::ZERO;
+                            a[(c, r)] = Complex64::ZERO;
+                        }
+                    }
+                }
+                a
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn real_mirror_matches_the_complex_body(a in real_symmetric(9)) {
+            assert_mirror_matches(&a, "proptest");
+        }
     }
 }

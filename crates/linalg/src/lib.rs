@@ -71,9 +71,7 @@ mod integration_tests {
 
         let e = hermitian_eigen(&k).unwrap();
         let sqrt_lambda: Vec<f64> = e.eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();
-        let l = e
-            .eigenvectors
-            .matmul(&CMatrix::from_real_diag(&sqrt_lambda));
+        let l = e.eigenvectors.scale_columns(&sqrt_lambda);
         assert!(l.aat_adjoint().approx_eq(&k, 1e-10));
 
         // The two factors are different matrices (Cholesky is triangular,
@@ -90,9 +88,7 @@ mod integration_tests {
         let e = hermitian_eigen(&k).unwrap();
         let clipped: Vec<f64> = e.eigenvalues.iter().map(|&l| l.max(0.0)).collect();
         let sqrt_lambda: Vec<f64> = clipped.iter().map(|&l| l.sqrt()).collect();
-        let l = e
-            .eigenvectors
-            .matmul(&CMatrix::from_real_diag(&sqrt_lambda));
+        let l = e.eigenvectors.scale_columns(&sqrt_lambda);
         let achieved = l.aat_adjoint();
         // The achieved covariance equals the PSD-forced approximation, not K
         // itself, but it must be Hermitian and PSD.

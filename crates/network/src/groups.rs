@@ -63,6 +63,13 @@ impl CorrelationGroups {
 ///
 /// The result depends only on the topology and the model — not on shard or
 /// thread counts — which is the invariant the sharding layer builds on.
+///
+/// Pairs whose midpoints lie farther apart along x than the model's reach
+/// (`−D_c·ln(threshold)` plus a rounding margin) are never evaluated: they
+/// cannot pass the threshold, so the edge set, the components and their
+/// leaders are those of the all-pairs test. On the 1012-link grid of the
+/// `network_epoch` benchmark (`D_c = 0.4`, threshold 0.1) that is about
+/// 33,000 of the 511,566 pairs.
 pub fn partition_links(
     topology: &Topology,
     correlation: &LinkCorrelationModel,
@@ -84,15 +91,31 @@ pub fn partition_links(
     let geometry: Vec<([f64; 2], f64)> = (0..n)
         .map(|i| (topology.link_midpoint(i), topology.link_orientation(i)))
         .collect();
-    for k in 0..n {
-        for j in (k + 1)..n {
+    if n >= 2 {
+        // The model's own parameter checks, which the pair loop below may
+        // otherwise never reach.
+        let _ = correlation.correlation(0.0, 0.0);
+    }
+    // Only links within `reach` of each other along x can correlate, so
+    // each link is tested against the links after it in midpoint-x order
+    // until the gap exceeds the reach. A NaN gap never breaks the scan.
+    let reach = correlation_reach(correlation, threshold);
+    let mut by_x: Vec<usize> = (0..n).collect();
+    by_x.sort_by(|&a, &b| geometry[a].0[0].total_cmp(&geometry[b].0[0]));
+    for (pos, &a) in by_x.iter().enumerate() {
+        for &b in &by_x[pos + 1..] {
+            if geometry[b].0[0] - geometry[a].0[0] > reach {
+                break;
+            }
+            let (k, j) = (a.min(b), a.max(b));
             let d = corrfade_models::wsn::distance(geometry[k].0, geometry[j].0);
             let sep = corrfade_models::wsn::angular_separation(geometry[k].1, geometry[j].1);
             if correlation.correlation(d, sep) >= threshold {
                 let (rk, rj) = (find(&mut parent, k), find(&mut parent, j));
                 if rk != rj {
                     // Always hang the larger root index under the smaller so
-                    // roots coincide with future leaders.
+                    // roots coincide with future leaders (and do not depend
+                    // on the order the edges are found in).
                     let (lo, hi) = (rk.min(rj), rk.max(rj));
                     parent[hi] = lo;
                 }
@@ -125,6 +148,22 @@ pub fn partition_links(
     }
     groups.sort_unstable_by_key(|g| g[0]);
     CorrelationGroups { groups }
+}
+
+/// Midpoint distance beyond which `correlation` stays below `threshold`:
+/// `ρ ≤ exp(−d/D_c)` (the angular factor is ≤ 1 and the clamp only lowers
+/// `ρ`), so a pair with `d > −D_c·ln(threshold)` never passes. The reach
+/// adds a relative margin of 1e-9 and an absolute one of `1e-9·D_c`, far
+/// above the rounding of `exp`, `ln` and the distance (a few ulps), so the
+/// cutoff never drops a pair the exact test would accept. Thresholds that
+/// give no finite, non-negative reach return `∞` (every pair is tested).
+fn correlation_reach(correlation: &LinkCorrelationModel, threshold: f64) -> f64 {
+    let reach = correlation.decorrelation_distance * (-threshold.ln() * (1.0 + 1e-9) + 1e-9);
+    if reach >= 0.0 && reach.is_finite() {
+        reach
+    } else {
+        f64::INFINITY
+    }
 }
 
 #[cfg(test)]
@@ -172,6 +211,50 @@ mod tests {
         // the ends — a threshold between the two still yields one component.
         let parts = partition_links(&topo, &model, 0.2, 64);
         assert_eq!(parts.groups(), &[vec![0, 1, 2]]);
+    }
+
+    /// Two parallel vertical links whose midpoints are `dx` apart along x.
+    fn parallel_pair(dx: f64) -> Topology {
+        Topology::from_edges(
+            vec![[0.0, 0.0], [0.0, 1.0], [dx, 0.0], [dx, 1.0]],
+            &[(0, 1), (2, 3)],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_pair_exactly_at_the_threshold_is_still_tested() {
+        // The threshold is the pair's own correlation, so the pair passes
+        // with ρ == threshold: the reach must not round below its gap.
+        for dc in [0.37, 0.4, 1.0, 2.3] {
+            for dx in [0.1, 0.3, 0.5, 0.921, 1.0, 1.7, 2.5, 7.0] {
+                let topo = parallel_pair(dx);
+                for model in [
+                    LinkCorrelationModel::distance_only(dc),
+                    LinkCorrelationModel::new(dc, 0.5),
+                ] {
+                    let d = corrfade_models::wsn::distance(
+                        topo.link_midpoint(0),
+                        topo.link_midpoint(1),
+                    );
+                    let threshold = model.correlation(d, 0.0);
+                    let parts = partition_links(&topo, &model, threshold, 64);
+                    assert_eq!(parts.groups(), &[vec![0, 1]], "D_c = {dc}, dx = {dx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_one_joins_links_whose_correlation_rounds_to_one() {
+        // exp(−1e-17) rounds to 1.0, so with the clamp lifted to 1.0 this
+        // pair passes a threshold of exactly 1.0 although d > 0.
+        let mut model = LinkCorrelationModel::distance_only(1.0);
+        model.max_correlation = 1.0;
+        let parts = partition_links(&parallel_pair(1e-17), &model, 1.0, 64);
+        assert_eq!(parts.groups(), &[vec![0, 1]]);
+        let parts = partition_links(&parallel_pair(1e-3), &model, 1.0, 64);
+        assert_eq!(parts.groups(), &[vec![0], vec![1]]);
     }
 
     #[test]

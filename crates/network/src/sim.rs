@@ -462,6 +462,30 @@ mod tests {
     }
 
     #[test]
+    fn open_rejects_a_non_finite_group_covariance() {
+        // 10^(1e5/10) overflows: every link power, and so every group
+        // covariance, is infinite. The decomposition used to accept it and
+        // the generators emitted non-finite samples.
+        let cfg = NetworkSimConfig {
+            path_loss: LogDistancePathLoss {
+                reference_snr_db: 1e5,
+                ..small_config().path_loss
+            },
+            ..small_config()
+        };
+        let Err(err) = NetworkSim::open(Topology::grid(2, 2, 1.0).unwrap(), &cfg, 1) else {
+            panic!("an infinite covariance must not open");
+        };
+        assert!(
+            matches!(
+                err,
+                NetworkError::Core(corrfade::CorrfadeError::NonFiniteCovariance { row: 0, col: 0 })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn traces_require_an_advance_and_a_local_link() {
         let topo = Topology::grid(2, 2, 1.0).unwrap();
         let mut sim = NetworkSim::open(topo, &small_config(), 7).unwrap();
