@@ -11,11 +11,7 @@
 //!   pools of several sizes.
 //! * `network/metrics_1012` — the per-link trace-extraction pass (envelope
 //!   view + outage/LCR/AFD) over a warm epoch, allocation-free by contract.
-//! * `network/open_1012` — a cold `NetworkSim::open` (coloring caches
-//!   cleared first): the link partition plus 16 group decompositions, the
-//!   set-up a simulation or a restarted shard pays before its first epoch.
 
-use corrfade::clear_coloring_caches;
 use corrfade_models::wsn::LinkCorrelationModel;
 use corrfade_network::{NetworkSim, NetworkSimConfig, Topology};
 use corrfade_parallel::Runtime;
@@ -88,27 +84,5 @@ fn bench_network_metrics(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_network_open(c: &mut Criterion) {
-    let topology = Topology::grid(23, 23, 1.0).unwrap();
-    let config = network_config();
-
-    let mut group = c.benchmark_group("network");
-    group.throughput(Throughput::Elements(topology.link_count() as u64));
-    group.sample_size(10);
-
-    group.bench_function("open_1012", |b| {
-        b.iter(|| {
-            clear_coloring_caches();
-            NetworkSim::open(topology.clone(), &config, 7).unwrap()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_network_advance,
-    bench_network_metrics,
-    bench_network_open
-);
+criterion_group!(benches, bench_network_advance, bench_network_metrics);
 criterion_main!(benches);

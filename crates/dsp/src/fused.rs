@@ -43,8 +43,9 @@
 //!
 //! Every network group and every real registry scenario has a coloring
 //! matrix `L` whose imaginary parts are all exactly zero. On the vector
-//! backend, when that holds (checked once per call, `O(N²)` against the
-//! `O(N²·M)` coloring), each tile is colored by
+//! backend of an AVX2+FMA CPU, when that holds
+//! ([`corrfade_linalg::kernel::uses_real_coloring`], checked once per call,
+//! `O(N²)` against the `O(N²·M)` coloring), each tile is colored by
 //! [`corrfade_linalg::kernel::color_planes_real`] instead of `N²` complex
 //! AXPYs: `y = fma(L.re, x, y)` in ascending `j`, two output rows × 8 samples
 //! held in registers, in a separate non-inlined `avx2,fma` function (inlined
@@ -58,8 +59,8 @@
 //! * so the two bodies can only differ where an accumulator underflows to
 //!   `−0`.
 //!
-//! The scalar backend (the golden reference) and complex matrices (fig4a)
-//! keep the AXPY body.
+//! The scalar backend (the golden reference), complex matrices (fig4a) and
+//! CPUs without AVX2+FMA keep the AXPY body.
 //!
 //! Lengths that are not a power of two (and `M = 1`, which has no final
 //! stage) fall back to literally running the two-pass code, so the
@@ -138,7 +139,16 @@ pub fn color_idft_block_with(
     }
     match b {
         Backend::Scalar => fused_scalar(n, m, a, scale, raw, out, w_scratch),
-        Backend::Vector => fused_vector(n, m, a, kernel::is_real(a), scale, raw, out, scratch),
+        Backend::Vector => fused_vector(
+            n,
+            m,
+            a,
+            kernel::uses_real_coloring(a),
+            scale,
+            raw,
+            out,
+            scratch,
+        ),
     }
 }
 
@@ -196,7 +206,7 @@ fn fused_scalar(
 /// without the multiversioning the final-stage tile loop runs baseline
 /// codegen and loses more than the fusion saves.
 ///
-/// `real` (every entry of `a` real, tested once per call) selects the
+/// `real` ([`kernel::uses_real_coloring`], tested once per call) selects the
 /// register-blocked [`kernel::color_planes_real`] body for each tile, the
 /// body `color_block` uses for a real matrix; the tests pass `false` to pin
 /// it against the complex AXPY body.

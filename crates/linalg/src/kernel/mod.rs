@@ -228,12 +228,14 @@ pub fn axpy_planar(ar: f64, ai: f64, xre: &[f64], xim: &[f64], yre: &mut [f64], 
     vector::axpy_planar(ar, ai, xre, xim, yre, yim);
 }
 
-/// Whether every entry of `a` has an imaginary part of exactly zero — the
-/// per-call test that routes a coloring matrix to [`color_planes_real`].
-/// `O(N²)` against the `O(N²·M)` coloring it gates.
+/// Whether the vector backend colors by `a` with [`color_planes_real`]:
+/// every entry has an imaginary part of exactly zero, and the CPU has the
+/// AVX2+FMA the real body is written for. Tested once per call, `O(N²)`
+/// against the `O(N²·M)` coloring it gates. Elsewhere a real matrix takes
+/// the complex [`axpy_planar`] body like any other.
 #[must_use]
-pub fn is_real(a: &[Complex64]) -> bool {
-    a.iter().all(|z| z.im == 0.0)
+pub fn uses_real_coloring(a: &[Complex64]) -> bool {
+    vector::has_fma_isa() && a.iter().all(|z| z.im == 0.0)
 }
 
 /// The vector backend's coloring of one tile of split-complex planes by a
@@ -241,18 +243,17 @@ pub fn is_real(a: &[Complex64]) -> bool {
 /// `l < t`,
 /// `out[i·out_stride + l] = scale · (Σ_j a[i·n + j].re · xre[j·stride + l] + i·Σ_j a[i·n + j].re · xim[j·stride + l])`.
 ///
-/// Every `a[i·n + j].im` must be zero ([`is_real`]); the caller checks that
-/// once per call. Exposed so the fused coloring+IDFT kernel in
+/// Callers route a matrix here only when [`uses_real_coloring`] holds,
+/// tested once per call. Exposed so the fused coloring+IDFT kernel in
 /// `corrfade-dsp` colors real tiles with the same body as
 /// [`color_block_with`] on [`Backend::Vector`].
 ///
 /// # Same bits as the complex body
 ///
-/// Per element the body runs [`axpy_planar`]'s accumulation chain in
+/// Per element the body runs [`axpy_planar`]'s FMA accumulation chain in
 /// ascending `j` — `y_re = fma(a.re, x_re, y_re)`, where [`axpy_planar`]
-/// computes `fma(a.re, x_re, fma(−a.im, x_im, y_re))` (and the `mul` + `add`
-/// equivalents without FMA) — followed by the same `scale · y` interleave,
-/// with the `a.im` terms dropped:
+/// computes `fma(a.re, x_re, fma(−a.im, x_im, y_re))` — followed by the
+/// same `scale · y` interleave, with the `a.im` terms dropped:
 ///
 /// * each dropped term `a.im·x` is an exact `±0`;
 /// * the accumulators start at `+0`, and a round-to-nearest sum of `+0`
@@ -262,12 +263,12 @@ pub fn is_real(a: &[Complex64]) -> bool {
 ///   which needs a product or sum that underflows to `−0`.
 ///
 /// Two output rows × 8 samples of both planes are held in registers
-/// across the whole `j` loop. On `x86_64` with AVX2+FMA the body is a
-/// separate, non-inlined `avx2,fma` function written with intrinsics; the
-/// portable body (plain `mul` + `add`) runs everywhere else.
+/// across the whole `j` loop, in a separate, non-inlined `avx2,fma`
+/// function written with intrinsics.
 ///
 /// # Panics
-/// Panics if a plane, `a` or `out` is shorter than the shape requires.
+/// Panics if a plane, `a` or `out` is shorter than the shape requires, or
+/// if the CPU lacks AVX2+FMA.
 #[allow(clippy::too_many_arguments)]
 pub fn color_planes_real(
     n: usize,
@@ -358,9 +359,9 @@ pub const COLOR_TILE: usize = 256;
 /// (`scratch`, grown on first use and reused), accumulates the `N²`
 /// planar AXPYs with FMA lane loops, and interleaves the scaled result back —
 /// cache-blocked so every tile stays in L1. When every entry of `a` is real
-/// ([`is_real`]) the vector backend colors each tile with
-/// [`color_planes_real`] instead, which drops the exact-zero `a.im` terms
-/// and keeps every output bit.
+/// on an AVX2+FMA CPU ([`uses_real_coloring`]) the vector backend colors
+/// each tile with [`color_planes_real`] instead, which drops the exact-zero
+/// `a.im` terms and keeps every output bit.
 ///
 /// `w_scratch` and `scratch` are caller-pooled buffers (resized on first
 /// use); with warm buffers the call performs no heap allocation.

@@ -222,50 +222,14 @@ mod real_avx2 {
     }
 }
 
-/// The portable body of [`color_tile_real`] (plain `mul` + `add`), for CPUs
-/// without FMA: per element `y += a.re·x` over ascending `j` from `y = +0`,
-/// then `scale·y` — the non-FMA `axpy_planar_body` chain without its
-/// exact-zero `a.im` terms. `y` accumulates in the output row itself.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn color_tile_real_portable(
-    n: usize,
-    a: &[Complex64],
-    xre: &[f64],
-    xim: &[f64],
-    stride: usize,
-    t: usize,
-    scale: f64,
-    out: &mut [Complex64],
-    out_stride: usize,
-) {
-    for i in 0..n {
-        let row = &mut out[i * out_stride..i * out_stride + t];
-        row.fill(Complex64::ZERO);
-        for j in 0..n {
-            let c = a[i * n + j].re;
-            let (xr, xi) = (
-                &xre[j * stride..j * stride + t],
-                &xim[j * stride..j * stride + t],
-            );
-            for ((z, &r), &m) in row.iter_mut().zip(xr).zip(xi) {
-                z.re += c * r;
-                z.im += c * m;
-            }
-        }
-        for z in row {
-            z.re *= scale;
-            z.im *= scale;
-        }
-    }
-}
-
 /// Colors one tile by a real coefficient matrix — see
-/// `kernel::color_planes_real`. Dispatches to the AVX2+FMA intrinsics body
-/// where the CPU has it and to the portable `mul` + `add` body elsewhere.
+/// `kernel::color_planes_real`. Runs the AVX2+FMA intrinsics body; callers
+/// route a matrix here only when `kernel::uses_real_coloring` holds, which
+/// includes that detection.
 ///
 /// # Panics
-/// Panics if the shapes do not hold (see `kernel::color_planes_real`).
+/// Panics if the shapes do not hold (see `kernel::color_planes_real`) or
+/// the CPU lacks AVX2+FMA.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn color_tile_real(
     n: usize,
@@ -288,21 +252,21 @@ pub(super) fn color_tile_real(
         "color_planes_real: output length"
     );
     debug_assert!(
-        super::is_real(&a[..n * n]),
+        a[..n * n].iter().all(|z| z.im == 0.0),
         "color_planes_real: complex coefficients"
     );
     #[cfg(target_arch = "x86_64")]
     if has_fma_isa() {
-        // SAFETY: guarded by the runtime AVX2+FMA detection above; the
-        // shapes are checked just above.
+        // SAFETY: guarded by the runtime AVX2+FMA detection; the shapes are
+        // checked just above.
         unsafe { real_avx2::color_tile_real(n, a, xre, xim, stride, t, scale, out, out_stride) };
         return;
     }
-    color_tile_real_portable(n, a, xre, xim, stride, t, scale, out, out_stride);
+    panic!("color_planes_real: needs AVX2+FMA");
 }
 
 /// Cache-blocked split-complex coloring: see `kernel::color_block_with`.
-/// A coloring matrix whose every entry is real takes the register-blocked
+/// A real coloring matrix on an AVX2+FMA CPU takes the register-blocked
 /// [`color_tile_real`] body; the output bits are the same either way.
 pub(super) fn color_block(
     n: usize,
@@ -313,24 +277,12 @@ pub(super) fn color_block(
     out: &mut [Complex64],
     scratch: &mut Vec<f64>,
 ) {
-    let real = super::is_real(a);
-    color_block_impl(
-        n,
-        m,
-        a,
-        real,
-        scale,
-        raw,
-        out,
-        scratch,
-        axpy_planar,
-        color_tile_real,
-    );
+    let real = super::uses_real_coloring(a);
+    color_block_impl(n, m, a, real, scale, raw, out, scratch);
 }
 
-/// [`color_block`] with the bodies explicit, so the tests can pin the real
-/// body against the complex one: without FMA on any CPU, with it where the
-/// CPU has it.
+/// [`color_block`] with the body choice explicit, so the tests can pin the
+/// real body against the complex one on the same matrix.
 #[allow(clippy::too_many_arguments)]
 fn color_block_impl(
     n: usize,
@@ -341,8 +293,6 @@ fn color_block_impl(
     raw: &[Complex64],
     out: &mut [Complex64],
     scratch: &mut Vec<f64>,
-    axpy: impl Fn(f64, f64, &[f64], &[f64], &mut [f64], &mut [f64]),
-    real_tile: impl Fn(usize, &[Complex64], &[f64], &[f64], usize, usize, f64, &mut [Complex64], usize),
 ) {
     if n == 0 || m == 0 {
         return;
@@ -366,7 +316,7 @@ fn color_block_impl(
             );
         }
         if real {
-            real_tile(n, a, xre_all, xim_all, tile, t, scale, &mut out[l0..], m);
+            color_tile_real(n, a, xre_all, xim_all, tile, t, scale, &mut out[l0..], m);
             l0 += t;
             continue;
         }
@@ -375,7 +325,7 @@ fn color_block_impl(
             yim[..t].fill(0.0);
             for j in 0..n {
                 let c = a[i * n + j];
-                axpy(
+                axpy_planar(
                     c.re,
                     c.im,
                     &xre_all[j * tile..j * tile + t],
@@ -830,57 +780,17 @@ mod tests {
         }
     }
 
-    /// Colors `raw` through [`color_block_impl`] with explicit bodies.
+    /// Colors `raw` through [`color_block_impl`] with the body chosen.
     fn colored(
         n: usize,
         m: usize,
         a: &[Complex64],
         real: bool,
         raw: &[Complex64],
-        axpy: impl Fn(f64, f64, &[f64], &[f64], &mut [f64], &mut [f64]),
-        real_tile: impl Fn(
-            usize,
-            &[Complex64],
-            &[f64],
-            &[f64],
-            usize,
-            usize,
-            f64,
-            &mut [Complex64],
-            usize,
-        ),
     ) -> Vec<Complex64> {
         let mut out = vec![Complex64::ZERO; n * m];
-        let mut scratch = Vec::new();
-        color_block_impl(
-            n,
-            m,
-            a,
-            real,
-            0.83,
-            raw,
-            &mut out,
-            &mut scratch,
-            axpy,
-            real_tile,
-        );
+        color_block_impl(n, m, a, real, 0.83, raw, &mut out, &mut Vec::new());
         out
-    }
-
-    /// Stands in for the real tile body where only the complex one may run.
-    #[allow(clippy::too_many_arguments)]
-    fn unused(
-        _: usize,
-        _: &[Complex64],
-        _: &[f64],
-        _: &[f64],
-        _: usize,
-        _: usize,
-        _: f64,
-        _: &mut [Complex64],
-        _: usize,
-    ) {
-        unreachable!("complex body only")
     }
 
     #[test]
@@ -889,31 +799,19 @@ mod tests {
         // a length that is not a power of two (1003: its 235-sample tail
         // tile ends in 3 samples outside the 8-sample register blocks). Odd
         // row counts exercise the one-row block after the two-row ones.
+        // Without AVX2+FMA a real matrix takes the complex body, so only
+        // the entry point is compared there.
         for m in [64usize, 256, 4096, 1003] {
             for n in [1usize, 2, 3, 6, 17] {
                 let a = real_matrix(n);
                 let raw = block(n, m);
                 let what = format!("n={n} m={m}");
-                // The portable body against the mul + add AXPY body.
-                let complex_plain =
-                    colored(n, m, &a, false, &raw, axpy_planar_body::<false>, unused);
-                let real_plain = colored(
-                    n,
-                    m,
-                    &a,
-                    true,
-                    &raw,
-                    axpy_planar_body::<false>,
-                    color_tile_real_portable,
-                );
-                assert_bits_eq(&real_plain, &complex_plain, &format!("mul+add {what}"));
-
-                // The dispatched bodies against the dispatched AXPY: the
-                // AVX2+FMA intrinsics against the FMA AXPY on CPUs that have
-                // them, the portable body again elsewhere.
-                let complex = colored(n, m, &a, false, &raw, axpy_planar, unused);
-                let real = colored(n, m, &a, true, &raw, axpy_planar, color_tile_real);
-                assert_bits_eq(&real, &complex, &format!("dispatched {what}"));
+                assert_eq!(super::super::uses_real_coloring(&a), has_fma_isa());
+                let complex = colored(n, m, &a, false, &raw);
+                if has_fma_isa() {
+                    let real = colored(n, m, &a, true, &raw);
+                    assert_bits_eq(&real, &complex, &format!("real body {what}"));
+                }
                 let mut via_entry = vec![Complex64::ZERO; n * m];
                 color_block(n, m, &a, 0.83, &raw, &mut via_entry, &mut Vec::new());
                 assert_bits_eq(&via_entry, &complex, &format!("color_block {what}"));
@@ -923,11 +821,14 @@ mod tests {
 
     #[test]
     fn network_sized_real_coloring_is_bit_identical() {
+        if !has_fma_isa() {
+            return;
+        }
         let (n, m) = (64, 256);
         let a = real_matrix(n);
         let raw = block(n, m);
-        let complex = colored(n, m, &a, false, &raw, axpy_planar, unused);
-        let real = colored(n, m, &a, true, &raw, axpy_planar, color_tile_real);
+        let complex = colored(n, m, &a, false, &raw);
+        let real = colored(n, m, &a, true, &raw);
         assert_bits_eq(&real, &complex, "n=64 m=256");
     }
 }
