@@ -4,35 +4,31 @@
 //! but expensive to decompose relative to the per-block work, and realistic
 //! deployments open *many* generators over a handful of distinct matrices —
 //! one per named scenario. [`FactorCache`] is the shared storage behind
-//! those "pay for the decomposition once per process" paths: a bounded,
-//! sharded map from the **exact bit pattern** of a matrix ([`MatrixKey`]) to
-//! an `Arc` of whatever was derived from it (an eigen-coloring, a Cholesky
-//! factor, …).
+//! those "pay for the decomposition once per process" paths: a bounded map
+//! from the **exact bit pattern** of a matrix ([`MatrixKey`]) to an `Arc` of
+//! whatever was derived from it (an eigen-coloring, …).
 //!
 //! # Concurrency design
 //!
-//! The original cache held one global `Mutex` across the whole lookup —
-//! including the factorization itself — so concurrent opens serialized on a
-//! single lock even when every lookup was a hit. The current design removes
-//! both bottlenecks:
+//! One `Mutex` guards the whole store: the map, the recency clock and the
+//! counters. The traffic it serves is one lookup per opened stream or
+//! network group — a handful per process, each followed by millions of
+//! samples — so a single lock costs nothing measurable, and it buys the
+//! simplest correct contract:
 //!
-//! * **Striped shards.** Keys are hashed onto up to [`MAX_SHARDS`]
-//!   independent shards; lookups for different matrices proceed on
-//!   different locks entirely.
-//! * **Lock-free-read hot path.** Each shard's map sits behind an
-//!   `RwLock`; a hit takes only the *shared* read guard, so any number of
-//!   threads resolve hits concurrently — even for the same key.
-//! * **Compute outside the lock, exactly once.** A miss computes the
-//!   factorization with **no lock held**. Concurrent first requests for the
-//!   same key are coordinated through a per-key in-flight marker: one
-//!   thread (the leader) computes, the rest wait on a condvar and then read
-//!   the published value — the expensive factorization runs exactly once
-//!   per key, and a slow factorization of one matrix never blocks lookups
-//!   of another.
-//! * **LRU eviction.** Entries carry a recency tick (bumped on every hit
-//!   under the shared read guard via an atomic, so hits never take a write
-//!   lock); when a shard is full the least-recently-used entry of that
-//!   shard is evicted.
+//! * **Compute under the lock, exactly once.** A miss runs the
+//!   factorization while holding the lock, so concurrent first requests
+//!   for the same key queue behind it and then hit the published value:
+//!   the expensive factorization runs exactly once per key.
+//! * **Poison recovery.** Entries and counters are only written *after*
+//!   `compute` returns, so a `compute` that panics leaves them
+//!   consistent; later lookups take the poisoned guard and carry on
+//!   (failures, panics included, are never stored).
+//! * **LRU eviction.** Entries carry a recency tick refreshed on every
+//!   hit; when the store is full the least-recently-used entry is evicted.
+//!
+//! A `compute` closure must not look up the same cache: the lock is not
+//! re-entrant, so such a lookup would deadlock (or panic).
 //!
 //! Keying on `f64::to_bits` of every entry makes cache hits *trivially*
 //! bit-identical to the uncached path: a hit returns the very value a fresh
@@ -46,9 +42,7 @@
 //! covariance spec must produce exactly one decomposition).
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::matrix::CMatrix;
 
@@ -80,14 +74,6 @@ impl MatrixKey {
             bits,
         }
     }
-
-    /// Stable shard-selection hash (`DefaultHasher` with its fixed default
-    /// keys — deterministic within and across processes).
-    fn stripe(&self) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.hash(&mut hasher);
-        hasher.finish()
-    }
 }
 
 /// Counters of one [`FactorCache`], read with [`FactorCache::stats`].
@@ -103,186 +89,62 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// Maximum number of independent shards a [`FactorCache`] stripes its keys
-/// over. Small caches use fewer shards (never more than `capacity`) so the
-/// configured bound stays exact: every shard holds at most
-/// `capacity / shards` entries.
-pub const MAX_SHARDS: usize = 16;
-
-/// One stored value plus its recency stamp. The stamp is atomic so the hit
-/// path can refresh it under the *shared* read guard.
+/// Everything behind the cache's one lock: each entry's value with the
+/// recency tick of its last use, the clock those ticks come from, and the
+/// counters.
 #[derive(Debug)]
-struct CacheEntry<T> {
-    value: Arc<T>,
-    last_used: AtomicU64,
+struct Store<T> {
+    map: BTreeMap<MatrixKey, (Arc<T>, u64)>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-/// Per-key marker of a computation in flight: the leader computes with no
-/// lock held, waiters sleep here until the leader publishes (or fails).
-#[derive(Debug)]
-struct InFlight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        Self {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) {
-        let mut done = lock_ignore_poison(&self.done);
-        while !*done {
-            done = self
-                .cv
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    fn complete(&self) {
-        *lock_ignore_poison(&self.done) = true;
-        self.cv.notify_all();
-    }
-}
-
-/// One cache stripe: its own map (shared-read hot path) and its own
-/// in-flight registry (tiny critical sections, never held across compute).
-#[derive(Debug)]
-struct Shard<T> {
-    map: RwLock<BTreeMap<MatrixKey, CacheEntry<T>>>,
-    in_flight: Mutex<BTreeMap<MatrixKey, Arc<InFlight>>>,
-}
-
-impl<T> Shard<T> {
-    const fn new() -> Self {
-        Self {
-            map: RwLock::new(BTreeMap::new()),
-            in_flight: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The shared-read hot path: a hit clones the `Arc` and refreshes the
-    /// recency stamp without ever taking a write lock.
-    fn lookup(&self, key: &MatrixKey, tick: &AtomicU64) -> Option<Arc<T>> {
-        let map = self
-            .map
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.get(key).map(|entry| {
-            entry
-                .last_used
-                .store(tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-            Arc::clone(&entry.value)
-        })
-    }
-}
-
-/// Locks a mutex, recovering the guard if a previous holder panicked (all
-/// critical sections in this module uphold their invariants even when
-/// unwound through, so a poisoned guard is still consistent).
-fn lock_ignore_poison<U>(mutex: &Mutex<U>) -> MutexGuard<'_, U> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Removes the in-flight marker of `key` and releases its waiters — also on
-/// unwind, so a panicking `compute` closure cannot strand waiters forever.
-struct LeaderGuard<'a, T> {
-    shard: &'a Shard<T>,
-    key: &'a MatrixKey,
-    marker: Arc<InFlight>,
-}
-
-impl<T> Drop for LeaderGuard<'_, T> {
-    fn drop(&mut self) {
-        lock_ignore_poison(&self.shard.in_flight).remove(self.key);
-        self.marker.complete();
-    }
-}
-
-/// A bounded, process-wide, sharded map from [`MatrixKey`] to a shared
-/// derived value.
+/// A bounded, process-wide map from [`MatrixKey`] to a shared derived
+/// value, behind one mutex.
 ///
-/// Designed to live in a `static`: construction is `const`, and all state
-/// is behind per-shard locks + atomics. See the [module docs](self) for the
-/// concurrency design — shared-read hits, compute outside every lock,
-/// exactly-once computation per key, striped LRU eviction.
+/// Designed to live in a `static`: construction is `const`. See the
+/// [module docs](self) for the concurrency design — compute under the
+/// lock, exactly once per key, LRU eviction.
 #[derive(Debug)]
 pub struct FactorCache<T> {
-    shards: [Shard<T>; MAX_SHARDS],
-    /// Shards actually in use (`min(MAX_SHARDS, capacity)`, at least 1).
-    shard_count: usize,
-    /// Entry bound per shard; the total bound is `shard_count` times this.
-    shard_capacity: usize,
-    /// Monotone recency clock stamped into entries on hit/insert.
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    capacity: usize,
+    store: Mutex<Store<T>>,
 }
 
 impl<T> FactorCache<T> {
     /// Creates an empty cache holding at most `capacity` entries
-    /// (`capacity == 0` disables storage: every lookup recomputes), striped
-    /// over up to [`MAX_SHARDS`] shards.
+    /// (`capacity == 0` disables storage: every lookup recomputes).
     #[must_use]
     pub const fn new(capacity: usize) -> Self {
-        let shards = if capacity < MAX_SHARDS {
-            capacity
-        } else {
-            MAX_SHARDS
-        };
-        Self::with_shards(capacity, shards)
-    }
-
-    /// [`FactorCache::new`] with an explicit shard count (clamped to
-    /// `1..=min(MAX_SHARDS, max(capacity, 1))`). Each shard holds at most
-    /// `capacity / shards` entries, so the total never exceeds `capacity`.
-    ///
-    /// A single-shard cache behaves as one global LRU — useful for tests
-    /// that pin the eviction order exactly.
-    #[must_use]
-    pub const fn with_shards(capacity: usize, shards: usize) -> Self {
-        let mut count = shards;
-        if count > MAX_SHARDS {
-            count = MAX_SHARDS;
-        }
-        if count > capacity {
-            count = capacity;
-        }
-        if count == 0 {
-            count = 1;
-        }
         Self {
-            shards: [const { Shard::new() }; MAX_SHARDS],
-            shard_count: count,
-            shard_capacity: capacity / count,
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            capacity,
+            store: Mutex::new(Store {
+                map: BTreeMap::new(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }),
         }
     }
 
-    /// The shard responsible for `key`.
-    fn shard_of(&self, key: &MatrixKey) -> &Shard<T> {
-        &self.shards[(key.stripe() % self.shard_count as u64) as usize]
+    /// Locks the store, recovering the guard if a `compute` closure
+    /// panicked while holding it: entries and counters are only written
+    /// after `compute` returns, so a poisoned guard is still consistent.
+    fn lock(&self) -> MutexGuard<'_, Store<T>> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns the cached value for `key`, computing and storing it with
     /// `compute` on a miss.
     ///
-    /// The hot path (a hit) takes only a shared read guard on the key's
-    /// shard. On a miss `compute` runs with **no lock held**; concurrent
-    /// first requests for the same key block until the one elected leader
-    /// has published its result, so the computation happens exactly once
-    /// per key (unless it fails — failures are not cached, and a waiting
-    /// thread retries the computation itself).
+    /// `compute` runs under the cache's lock, so concurrent first requests
+    /// for the same key wait for it and then hit: the computation happens
+    /// exactly once per key (unless it fails — failures are not cached,
+    /// and the next request computes again). `compute` must not look up
+    /// this cache.
     ///
     /// # Errors
     /// Propagates `compute`'s error; nothing is stored or counted as a miss
@@ -292,123 +154,50 @@ impl<T> FactorCache<T> {
         key: MatrixKey,
         compute: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
-        if self.shard_capacity == 0 {
-            // Storage disabled: every lookup recomputes (documented
-            // `capacity == 0` semantics), so no coordination is needed.
-            let value = Arc::new(compute()?);
-            self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.lock();
+        let store = &mut *guard;
+        store.tick += 1;
+        if let Some((value, last_used)) = store.map.get_mut(&key) {
+            *last_used = store.tick;
+            store.hits += 1;
+            return Ok(Arc::clone(value));
+        }
+        let value = Arc::new(compute()?);
+        store.misses += 1;
+        if self.capacity == 0 {
             return Ok(value);
         }
-        let shard = self.shard_of(&key);
-        if let Some(hit) = shard.lookup(&key, &self.tick) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        loop {
-            // Decide leader vs. waiter under the in-flight lock, re-checking
-            // the map inside it: a leader removes its marker only *after*
-            // publishing to the map, so this order can neither miss a
-            // completed value nor elect a second leader for a pending one.
-            let pending = {
-                let mut in_flight = lock_ignore_poison(&shard.in_flight);
-                if let Some(hit) = shard.lookup(&key, &self.tick) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(hit);
-                }
-                match in_flight.get(&key) {
-                    Some(pending) => Arc::clone(pending),
-                    None => {
-                        let marker = Arc::new(InFlight::new());
-                        in_flight.insert(key.clone(), Arc::clone(&marker));
-                        drop(in_flight);
-                        return self.compute_as_leader(shard, &key, marker, compute);
-                    }
-                }
-            };
-            pending.wait();
-            if let Some(hit) = shard.lookup(&key, &self.tick) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-            // The leader failed (error or panic) without publishing; loop
-            // around and try to take the lead ourselves.
-        }
-    }
-
-    /// The leader path of a miss: run `compute` with no lock held, publish
-    /// the value, then release the waiters (the guard also releases them if
-    /// `compute` panics or fails, so nobody is stranded).
-    fn compute_as_leader<E>(
-        &self,
-        shard: &Shard<T>,
-        key: &MatrixKey,
-        marker: Arc<InFlight>,
-        compute: impl FnOnce() -> Result<T, E>,
-    ) -> Result<Arc<T>, E> {
-        let _guard = LeaderGuard { shard, key, marker };
-        let value = Arc::new(compute()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut map = shard
+        if store.map.len() >= self.capacity {
+            let lru = store
                 .map
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if map.len() >= self.shard_capacity && !map.contains_key(key) {
-                // Evict this shard's least-recently-used entry.
-                let lru = map
-                    .iter()
-                    .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                    .map(|(k, _)| k.clone());
-                if let Some(lru) = lru {
-                    map.remove(&lru);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(k, _)| k.clone());
+            if let Some(lru) = lru {
+                store.map.remove(&lru);
+                store.evictions += 1;
             }
-            map.insert(
-                key.clone(),
-                CacheEntry {
-                    value: Arc::clone(&value),
-                    last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-                },
-            );
         }
-        // `_guard` drops here: marker removed, waiters woken — strictly
-        // after the map insert above, preserving the leader-election
-        // invariant.
+        store.map.insert(key, (Arc::clone(&value), store.tick));
         Ok(value)
     }
 
     /// Current counters. `hits`/`misses`/`evictions` are monotone over the
     /// process lifetime (they survive [`FactorCache::clear`]).
     pub fn stats(&self) -> CacheStats {
-        let entries = self.shards[..self.shard_count]
-            .iter()
-            .map(|shard| {
-                shard
-                    .map
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum();
+        let store = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
+            hits: store.hits,
+            misses: store.misses,
+            evictions: store.evictions,
+            entries: store.map.len(),
         }
     }
 
     /// Drops every stored entry (outstanding `Arc`s stay alive). Counters
     /// are not reset.
     pub fn clear(&self) {
-        for shard in &self.shards[..self.shard_count] {
-            shard
-                .map
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
+        self.lock().map.clear();
     }
 }
 
@@ -470,8 +259,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_store() {
-        // Single shard: exact global LRU semantics.
-        let cache: FactorCache<usize> = FactorCache::with_shards(2, 1);
+        let cache: FactorCache<usize> = FactorCache::new(2);
         for i in 0..5usize {
             cache
                 .get_or_try_insert_with(MatrixKey::of(&mat(i as f64)), || Ok::<_, Infallible>(i))
@@ -480,18 +268,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 3);
-
-        // Striped: the total bound still holds, every computed value is
-        // either stored or was evicted.
-        let striped: FactorCache<usize> = FactorCache::new(2);
-        for i in 0..5usize {
-            striped
-                .get_or_try_insert_with(MatrixKey::of(&mat(i as f64)), || Ok::<_, Infallible>(i))
-                .unwrap();
-        }
-        let s = striped.stats();
-        assert!(s.entries <= 2, "striped capacity bound violated: {s:?}");
-        assert_eq!(s.entries as u64 + s.evictions, s.misses);
 
         let disabled: FactorCache<usize> = FactorCache::new(0);
         for _ in 0..2 {
@@ -507,9 +283,8 @@ mod tests {
     fn eviction_is_least_recently_used_not_smallest_key() {
         // Regression: the original cache evicted `keys().next()` — the
         // smallest bit pattern — which threw out the hottest entry whenever
-        // it happened to sort first. A single-shard cache makes the LRU
-        // order exactly observable.
-        let cache: FactorCache<u32> = FactorCache::with_shards(2, 1);
+        // it happened to sort first.
+        let cache: FactorCache<u32> = FactorCache::new(2);
         let (a, b, c) = (mat(1.0), mat(2.0), mat(3.0));
         assert!(
             MatrixKey::of(&a) < MatrixKey::of(&b),
@@ -571,8 +346,8 @@ mod tests {
             });
         }));
         assert!(panicked.is_err());
-        // The in-flight marker was cleaned up: the same key can be computed
-        // again without hanging.
+        // The poisoned lock is recovered and nothing was stored: the same
+        // key can be computed again without hanging.
         let v = cache
             .get_or_try_insert_with(key, || Ok::<_, Infallible>(1.5))
             .unwrap();

@@ -1,16 +1,17 @@
-//! Concurrency stress tests for the sharded [`FactorCache`]: many threads
+//! Concurrency stress tests for the [`FactorCache`]: many threads
 //! hammering duplicate keys must still compute every key **exactly once**,
 //! and the hit/miss/eviction counters must stay consistent with the number
 //! of stored entries.
 //!
-//! These tests exist because the cache's miss path runs the factorization
-//! with *no lock held* (leader/waiter election through per-key in-flight
-//! markers) — precisely the design that could double-compute or strand
-//! waiters if the election were racy.
+//! The cache computes a miss while holding its one lock, so these tests
+//! also pin the paths that design relies on: a failing or panicking
+//! `compute` must leave the store usable for every other lookup (the
+//! poisoned lock is recovered), and nobody may hang behind it.
 
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use corrfade_linalg::{c64, CMatrix, FactorCache, MatrixKey};
@@ -39,14 +40,15 @@ fn duplicate_keys_under_contention_compute_exactly_once() {
                 barrier.wait();
                 for round in 0..ROUNDS {
                     // Every thread walks the keys in a different order so
-                    // leaders and waiters mix across rounds.
+                    // first requests and queued duplicates mix across rounds.
                     for k in 0..KEYS {
                         let key = (t + round + k) % KEYS;
                         let value = CACHE
                             .get_or_try_insert_with(MatrixKey::of(&mat(key as f64)), || {
                                 computed[key].fetch_add(1, Ordering::SeqCst);
-                                // Widen the in-flight window: a racy
-                                // election would double-compute here.
+                                // Widen the compute window: a lookup that
+                                // did not queue behind it would
+                                // double-compute here.
                                 std::thread::sleep(Duration::from_millis(2));
                                 Ok::<_, Infallible>(key as f64 + 0.5)
                             })
@@ -170,4 +172,84 @@ fn waiters_recover_when_the_leader_fails() {
     // At most thread 0 saw the error; everyone else got the value.
     assert!(failures.load(Ordering::SeqCst) <= 1);
     assert!(successes.load(Ordering::SeqCst) >= 3);
+}
+
+#[test]
+fn a_compute_that_panics_under_the_lock_blocks_no_other_lookup() {
+    // Thread 0 takes the lock for a key and panics inside `compute` while
+    // the others queue behind it, for that key and for other keys. Every
+    // other lookup must be served (the poisoned lock is recovered), within
+    // a deadline, and the counters must still balance.
+    const THREADS: usize = 6;
+    const KEYS: usize = 6;
+    const ROUNDS: usize = 4;
+    static POISONED: FactorCache<usize> = FactorCache::new(4);
+
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let inside = AtomicBool::new(false);
+        let barrier = Barrier::new(THREADS);
+        let served = AtomicUsize::new(0);
+        let panicked = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (inside, barrier, served, panicked) = (&inside, &barrier, &served, &panicked);
+                scope.spawn(move || {
+                    barrier.wait();
+                    if t == 0 {
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            POISONED.get_or_try_insert_with(
+                                MatrixKey::of(&mat(0.0)),
+                                || -> Result<usize, Infallible> {
+                                    inside.store(true, Ordering::SeqCst);
+                                    // Hold the lock while the others queue up.
+                                    std::thread::sleep(Duration::from_millis(20));
+                                    panic!("injected compute panic under the lock");
+                                },
+                            )
+                        }));
+                        assert!(result.is_err(), "thread 0 must see its own panic");
+                        panicked.fetch_add(1, Ordering::SeqCst);
+                        return;
+                    }
+                    while !inside.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    for round in 0..ROUNDS {
+                        for k in 0..KEYS {
+                            let key = (t + round + k) % KEYS;
+                            let v = POISONED
+                                .get_or_try_insert_with(MatrixKey::of(&mat(key as f64)), || {
+                                    Ok::<_, Infallible>(key)
+                                })
+                                .unwrap();
+                            assert_eq!(*v, key);
+                            served.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+        });
+        done.send((served.into_inner(), panicked.into_inner()))
+            .unwrap();
+    });
+
+    let (served, panicked) = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("lookups hung behind a compute that panicked under the lock");
+    assert_eq!(panicked, 1);
+    assert_eq!(served, (THREADS - 1) * ROUNDS * KEYS);
+
+    let stats = POISONED.stats();
+    assert_eq!(
+        stats.hits + stats.misses,
+        served as u64,
+        "the panicked lookup counts as neither: {stats:?}"
+    );
+    assert!(stats.entries <= 4, "capacity bound violated: {stats:?}");
+    assert_eq!(
+        stats.entries as u64 + stats.evictions,
+        stats.misses,
+        "every miss must be stored or evicted exactly once: {stats:?}"
+    );
 }

@@ -185,6 +185,28 @@ impl NetworkSim {
                 value: config.outage_snr_db,
             });
         }
+        let correlation = &config.correlation;
+        if !(correlation.decorrelation_distance > 0.0
+            && correlation.decorrelation_distance.is_finite())
+        {
+            return Err(NetworkError::InvalidParameter {
+                name: "decorrelation_distance",
+                value: correlation.decorrelation_distance,
+            });
+        }
+        // `+∞` disables the angular factor; every other value must be positive.
+        if correlation.angular_scale_rad.is_nan() || correlation.angular_scale_rad <= 0.0 {
+            return Err(NetworkError::InvalidParameter {
+                name: "angular_scale_rad",
+                value: correlation.angular_scale_rad,
+            });
+        }
+        if correlation.max_correlation.is_nan() || correlation.max_correlation < 0.0 {
+            return Err(NetworkError::InvalidParameter {
+                name: "max_correlation",
+                value: correlation.max_correlation,
+            });
+        }
 
         let groups = partition_links(
             &topology,
@@ -453,12 +475,43 @@ mod tests {
             ..small_config()
         };
         assert!(matches!(
-            NetworkSim::open(topo, &bad, 1),
+            NetworkSim::open(topo.clone(), &bad, 1),
             Err(NetworkError::InvalidParameter {
                 name: "correlation_threshold",
                 ..
             })
         ));
+
+        // Correlation-model values that the model itself would panic on.
+        let with_model = |decorrelation_distance, angular_scale_rad, max_correlation| {
+            let cfg = NetworkSimConfig {
+                correlation: LinkCorrelationModel {
+                    decorrelation_distance,
+                    angular_scale_rad,
+                    max_correlation,
+                },
+                ..small_config()
+            };
+            NetworkSim::open(topo.clone(), &cfg, 1)
+        };
+        let rejected = |result: Result<NetworkSim, NetworkError>, expected: &str| match result {
+            Err(NetworkError::InvalidParameter { name, .. }) => assert_eq!(name, expected),
+            Err(other) => panic!("expected {expected} to be rejected, got {other}"),
+            Ok(_) => panic!("expected {expected} to be rejected"),
+        };
+        for d in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            rejected(with_model(d, f64::INFINITY, 0.99), "decorrelation_distance");
+        }
+        for theta in [0.0, -0.5, f64::NAN, f64::NEG_INFINITY] {
+            rejected(with_model(1.0, theta, 0.99), "angular_scale_rad");
+        }
+        for rho_max in [f64::NAN, -0.1, f64::NEG_INFINITY] {
+            rejected(with_model(1.0, f64::INFINITY, rho_max), "max_correlation");
+        }
+        // `+∞` still disables the angular factor, and a finite positive
+        // scale is accepted.
+        assert!(with_model(1.0, f64::INFINITY, 0.99).is_ok());
+        assert!(with_model(1.0, 0.5, 0.0).is_ok());
     }
 
     #[test]

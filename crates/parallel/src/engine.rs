@@ -11,14 +11,13 @@
 //! 2. splits the requested ensemble into chunks sized by the load-balancing
 //!    heuristic ([`crate::balanced_chunk_size`]), each with its own
 //!    deterministic RNG seed,
-//! 3. deals the chunks into per-executor work-stealing lanes
-//!    ([`StealQueues`]) on the persistent [`Runtime`] pool — the submitting
-//!    thread participates as executor 0, each executor drains its own lane
-//!    and steals stragglers' backlogs; every worker owns **one pinned planar
-//!    [`SampleBlock`]** that the generators stream into through
-//!    [`ChannelStream::next_block_into`] — no per-chunk buffer allocation —
-//!    and folds the chunk's covariance accumulator straight from the planar
-//!    data,
+//! 3. runs the chunks on the persistent [`Runtime`] pool — the submitting
+//!    thread participates as executor 0, and every executor claims the next
+//!    chunk index from one shared counter until the chunks run out; every
+//!    worker owns **one pinned planar [`SampleBlock`]** that the generators
+//!    stream into through [`ChannelStream::next_block_into`] — no per-chunk
+//!    buffer allocation — and folds the chunk's covariance accumulator
+//!    straight from the planar data,
 //! 4. merges the per-chunk accumulators in chunk order.
 //!
 //! Because chunk seeds depend only on `(master seed, chunk index)` and the
@@ -34,6 +33,7 @@
 //! backend at spawn, so `CORRFADE_KERNEL` is honoured deterministically
 //! across the pool.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use corrfade::{ChannelStream, Coloring, CorrelatedRayleighGenerator, SampleBlock};
@@ -42,7 +42,6 @@ use corrfade_linalg::CMatrix;
 use crate::error::ParallelError;
 use crate::partition::{balanced_chunk_size, chunk_seed, partition, Chunk};
 use crate::runtime::Runtime;
-use crate::stealing::StealQueues;
 
 /// Configuration of the parallel engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,10 +51,10 @@ pub struct ParallelConfig {
     /// chunks; it never affects the produced values.
     pub threads: usize,
     /// Upper bound on the snapshots generated per chunk (the unit of work
-    /// stealing). Large workloads are subdivided further for load balance —
-    /// see [`ParallelConfig::effective_chunk_size`]. Must be positive; the
-    /// engine entry points report [`ParallelError::InvalidChunkSize`]
-    /// otherwise.
+    /// an executor claims). Large workloads are subdivided further for load
+    /// balance — see [`ParallelConfig::effective_chunk_size`]. Must be
+    /// positive; the engine entry points report
+    /// [`ParallelError::InvalidChunkSize`] otherwise.
     pub chunk_size: usize,
     /// Master RNG seed.
     pub seed: u64,
@@ -181,7 +180,7 @@ pub fn monte_carlo_covariance_on(
     let n = coloring.dimension();
     let chunks = partition(total, config.effective_chunk_size(total));
     let participants = config.effective_threads().min(chunks.len()).max(1);
-    let queues = StealQueues::new(chunks.len(), participants);
+    let next = AtomicUsize::new(0);
     // One accumulator per chunk, merged in chunk order below: the summation
     // order is fixed by the chunk layout, never by scheduling.
     let slots: Vec<Mutex<CMatrix>> = chunks
@@ -193,8 +192,7 @@ pub fn monte_carlo_covariance_on(
         if id >= participants {
             return;
         }
-        queues.for_each_claimed(id, |i| {
-            let chunk = chunks[i];
+        while let Some(&chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
             stream_chunk(
                 &coloring,
                 covariance,
@@ -205,7 +203,7 @@ pub fn monte_carlo_covariance_on(
             scratch
                 .block
                 .accumulate_covariance(&mut slots[chunk.index].lock().unwrap());
-        });
+        }
     });
 
     let mut sum = CMatrix::zeros(n, n);

@@ -17,13 +17,13 @@
 //!   once, at open.
 //! * **Generate in batch** — [`StreamFleet::advance`] produces the next
 //!   block for *every* stream concurrently on the persistent
-//!   [`Runtime`] pool: streams are dealt into per-executor work-stealing
-//!   lanes (stable affinity, stealing for skew — see
-//!   [`crate::stealing`]), the submitting thread participates as executor
-//!   0, and each stream's block lands in that stream's own pooled
-//!   [`SampleBlock`]. After warm-up an advance performs **zero heap
-//!   allocation** (the workspace's allocation-regression test measures
-//!   this end to end through the pool, including the re-dealt lanes).
+//!   [`Runtime`] pool: executors claim stream indices from one shared
+//!   counter until every stream is done, the submitting thread
+//!   participates as executor 0, and each stream's block lands in that
+//!   stream's own pooled [`SampleBlock`]. After warm-up an advance
+//!   performs **zero heap allocation** (the workspace's
+//!   allocation-regression test measures this end to end through the
+//!   pool; the claim counter lives on the caller's stack).
 //! * **Isolation by construction** — stream `i` owns an independent RNG
 //!   stream seeded with [`stream_seed`]`(master_seed, i)`. Which worker
 //!   generates which block, and how many workers exist, cannot influence
@@ -32,6 +32,7 @@
 //!   ([`Scenario::build_realtime`] + repeated `next_block_into`), on any
 //!   thread count and both kernel backends.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use corrfade::{ChannelStream, RealtimeGenerator, SampleBlock};
@@ -40,7 +41,6 @@ use corrfade_scenarios::{lookup, Scenario};
 use crate::error::ParallelError;
 use crate::partition::chunk_seed;
 use crate::runtime::Runtime;
-use crate::stealing::StealQueues;
 
 /// Derives the RNG seed of fleet stream `index` from the fleet's master
 /// seed (the same SplitMix64 derivation as [`chunk_seed`]). Running
@@ -82,10 +82,6 @@ pub struct StreamFleet {
     /// once at open so it stays readable through `&self`.
     samples_per_advance: usize,
     master_seed: u64,
-    /// Reusable work-stealing lanes of the pooled advance: re-dealt per
-    /// advance (no allocation once warm), popped by executors with
-    /// stealing for skew tolerance.
-    stealing: StealQueues,
 }
 
 impl std::fmt::Debug for StreamFleet {
@@ -141,8 +137,8 @@ impl StreamFleet {
     /// The caller owns the seeding policy entirely: unlike
     /// [`StreamFleet::open`], **no** [`stream_seed`] derivation is applied,
     /// and `master_seed` is recorded for observability only. Everything
-    /// else — lockstep [`StreamFleet::advance`] on the pool, work-stealing
-    /// lanes, per-stream pooled blocks, zero steady-state allocation,
+    /// else — lockstep [`StreamFleet::advance`] on the pool, per-stream
+    /// pooled blocks, zero steady-state allocation,
     /// bit-identical results on any pool size — behaves exactly as for
     /// name-opened fleets. [`StreamFleet::scenario`] has no entries to
     /// return for such a fleet and panics for every index.
@@ -171,7 +167,6 @@ impl StreamFleet {
             slots,
             samples_per_advance,
             master_seed,
-            stealing: StealQueues::default(),
         }
     }
 
@@ -213,14 +208,11 @@ impl StreamFleet {
     /// Generates the next block for every stream concurrently on the
     /// global [`Runtime`] pool.
     ///
-    /// Streams are dealt round-robin into per-executor work-stealing
-    /// lanes ([`crate::stealing::StealQueues`]): executor `w` prefers
-    /// streams `w, w + lanes, …` every advance (stable affinity for the
-    /// per-stream locks and buffers it warmed last time), and executors
-    /// whose lane drains early steal the stragglers' backlog — a skewed
-    /// fleet (streams with very different `N` and `M`) keeps every core
-    /// busy until the whole advance is done. The submitting thread itself
-    /// is executor 0, so no core idles behind the barrier.
+    /// Every executor claims the next unclaimed stream index from one
+    /// shared counter until all streams are done, so a skewed fleet
+    /// (streams with very different `N` and `M`) keeps every executor
+    /// busy until the advance is complete. The submitting thread itself is
+    /// executor 0, so no core idles behind the barrier.
     ///
     /// # Errors
     /// [`ParallelError::JobPanicked`] when a stream's generation panicked
@@ -235,21 +227,16 @@ impl StreamFleet {
     /// # Errors
     /// See [`StreamFleet::advance`].
     pub fn advance_on(&mut self, runtime: &Runtime) -> Result<(), ParallelError> {
-        let lanes = runtime.workers().min(self.slots.len()).max(1);
-        self.stealing.reset(self.slots.len(), lanes);
+        let next = AtomicUsize::new(0);
         let slots = &self.slots;
-        let stealing = &self.stealing;
-        runtime.try_run(&|id, _scratch| {
-            if id >= lanes {
-                return;
-            }
-            stealing.for_each_claimed(id, |i| {
-                let mut slot = slots[i].lock().unwrap();
+        runtime.try_run(&|_id, _scratch| {
+            while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let mut slot = slot.lock().unwrap();
                 let FleetSlot { stream, block } = &mut *slot;
                 stream
                     .next_block_into(block)
                     .expect("realtime generation is infallible after construction");
-            });
+            }
         })
     }
 

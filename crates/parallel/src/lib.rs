@@ -10,11 +10,10 @@
 //!   The **submitting thread participates as executor 0** — a pool of `W`
 //!   executors spawns only `W − 1` threads and the caller never idles at
 //!   the completion barrier; [`Runtime::global()`] is the process-wide
-//!   instance behind the free functions,
-//! * [`stealing::StealQueues`] — per-executor work-stealing lanes: items
-//!   are dealt round-robin for deterministic affinity, executors pop their
-//!   own lane front and steal stragglers' backs, so skewed workloads keep
-//!   every core busy,
+//!   instance behind the free functions. Every job hands out its items
+//!   (chunks, streams) through one shared claim counter: each executor
+//!   `fetch_add`s the next index until the items run out; who claims
+//!   which index moves wall-clock only, never the produced values,
 //! * [`engine::monte_carlo_covariance`] — streaming estimation of
 //!   `E[Z·Zᴴ]` without materializing the ensemble (bit-identical for any
 //!   thread count thanks to per-chunk accumulator slots),
@@ -49,14 +48,11 @@ pub mod error;
 pub mod fleet;
 pub mod partition;
 pub mod runtime;
-pub mod stealing;
 
 pub use engine::{monte_carlo_covariance, monte_carlo_covariance_on, ParallelConfig};
 pub use error::ParallelError;
 pub use fleet::{stream_seed, StreamFleet};
 pub use partition::{
-    balanced_chunk_size, chunk_seed, partition, round_robin_lane, Chunk, MIN_CHUNK_SAMPLES,
-    TARGET_CHUNKS,
+    balanced_chunk_size, chunk_seed, partition, Chunk, MIN_CHUNK_SAMPLES, TARGET_CHUNKS,
 };
 pub use runtime::{parse_pool_threads, Runtime, WorkerScratch};
-pub use stealing::StealQueues;

@@ -72,25 +72,6 @@ pub fn balanced_chunk_size(total: usize, max_chunk_size: usize) -> usize {
         .min(max_chunk_size)
 }
 
-/// The work-stealing lane that item `index` is dealt into when `lanes`
-/// lanes are in play: a plain round-robin `index % lanes`.
-///
-/// Part of the deterministic work-layout contract alongside
-/// [`balanced_chunk_size`] and [`chunk_seed`]: executor `w` *prefers* items
-/// `w, w + lanes, w + 2·lanes, …` every round (affinity for warm
-/// per-stream state), machine- and scheduling-independent. Only wall-clock
-/// placement depends on it — never the produced values, which derive from
-/// `(master seed, index)` alone, so stealing an item to a different
-/// executor cannot change what is generated.
-///
-/// # Panics
-/// Panics if `lanes` is zero.
-#[must_use]
-pub fn round_robin_lane(index: usize, lanes: usize) -> usize {
-    assert!(lanes > 0, "at least one lane is required");
-    index % lanes
-}
-
 /// Derives a per-chunk RNG seed from the master seed and the chunk index
 /// (SplitMix64 finalizer — well-distributed and cheap).
 pub fn chunk_seed(master_seed: u64, chunk_index: usize) -> u64 {
@@ -154,16 +135,6 @@ mod tests {
     #[should_panic(expected = "chunk_size must be positive")]
     fn balanced_chunk_size_rejects_zero_max() {
         let _ = balanced_chunk_size(10, 0);
-    }
-
-    #[test]
-    fn round_robin_lane_covers_all_lanes_evenly() {
-        let mut counts = [0usize; 3];
-        for i in 0..12 {
-            counts[round_robin_lane(i, 3)] += 1;
-        }
-        assert_eq!(counts, [4, 4, 4]);
-        assert_eq!(round_robin_lane(5, 1), 0, "one lane takes everything");
     }
 
     #[test]

@@ -33,12 +33,13 @@
 //!   leaked threads (a lifecycle test pins this via the pool's own
 //!   reference counts).
 //!
-//! Work distribution is unchanged in contract: a job is one closure that
-//! every executor runs, pulling work items from a shared structure (an
-//! atomic counter or the work-stealing deques in [`crate::stealing`]).
-//! Which executor runs which item is irrelevant to the output because all
+//! Work distribution is the job's business: a job is one closure that
+//! every executor runs, claiming work items from a shared atomic counter
+//! (`fetch_add` the next index until the items run out — the engine and
+//! the fleet both hand out at most a few dozen items per job). Which
+//! executor runs which item is irrelevant to the output because all
 //! randomness derives from `(master seed, item index)` — the
-//! thread-count-invariance guarantee is unchanged.
+//! thread-count-invariance guarantee.
 //!
 //! [`Runtime::global()`] exposes one process-wide pool (sized from
 //! `CORRFADE_POOL_THREADS`, default: all cores) so the existing free
